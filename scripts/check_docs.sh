@@ -85,7 +85,7 @@ check_roster bench/bench_util.h \
   --rebalance --rebalance-ms --rebalance-skew --hotspot-shift-ops \
   --adaptive-debt-mb --alloc-locked --alloc-arenas --value-bytes
 check_roster src/server/main.cc \
-  --port --shards --io-threads --exec-threads --batch --flush-us \
+  --port --shards --io-threads --exec-threads \
   --async-epochs --allow-crash --alloc-locked \
   --slow-op-us --stats-sample-ms --record-op-latency
 check_roster bench/loadgen.cc \

@@ -42,8 +42,6 @@ struct Args
     std::size_t valueBytes = incll::ycsb::kValueBytes;
     unsigned ioThreads = 2;
     unsigned execThreads = 2;
-    std::size_t batch = 64;
-    unsigned flushUs = 200;
     bool asyncEpochs = false;
     unsigned serviceThreads = 2;
     unsigned epochMs = 16;
@@ -88,13 +86,6 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--exec-threads") {
             a.execThreads = static_cast<unsigned>(
                 std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--batch") {
-            a.batch = std::strtoul(next(), nullptr, 10);
-            if (a.batch == 0)
-                a.batch = 1;
-        } else if (arg == "--flush-us") {
-            a.flushUs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
         } else if (arg == "--async-epochs") {
             a.asyncEpochs = true;
         } else if (arg == "--service-threads") {
@@ -129,7 +120,7 @@ parseArgs(int argc, char **argv)
             std::printf(
                 "flags: --port N --shards N --placement hash|range "
                 "--keys N --value-bytes N --io-threads N "
-                "--exec-threads N --batch N --flush-us N "
+                "--exec-threads N "
                 "--async-epochs --service-threads N --epoch-ms N "
                 "--backpressure-mb N --adaptive-debt-mb N "
                 "--allow-crash --alloc-locked --slow-op-us N "
@@ -194,8 +185,6 @@ main(int argc, char **argv)
     svo.port = a.port;
     svo.ioThreads = a.ioThreads;
     svo.executorThreads = a.execThreads;
-    svo.maxBatch = a.batch;
-    svo.flushDeadline = std::chrono::microseconds(a.flushUs);
     svo.valueBytes = a.valueBytes;
     svo.allowCrash = a.allowCrash;
     svo.slowOpThreshold = std::chrono::microseconds(a.slowOpUs);
@@ -228,11 +217,9 @@ main(int argc, char **argv)
         svc->start();
     }
 
-    std::printf("READY port=%u shards=%u placement=%s keys=%llu "
-                "batch=%zu flush_us=%u\n",
+    std::printf("READY port=%u shards=%u placement=%s keys=%llu\n",
                 server.port(), a.shards, a.placement.c_str(),
-                static_cast<unsigned long long>(a.keys), a.batch,
-                a.flushUs);
+                static_cast<unsigned long long>(a.keys));
     std::fflush(stdout);
 
     std::signal(SIGINT, onSignal);

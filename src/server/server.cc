@@ -15,6 +15,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -33,6 +34,17 @@ setNonBlocking(int fd)
 {
     const int flags = ::fcntl(fd, F_GETFL, 0);
     ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+}
+
+/**
+ * Write to a client socket without raising SIGPIPE: a peer that reset
+ * the connection makes this return EPIPE, which the callers treat as
+ * any other hard error, instead of killing the process.
+ */
+ssize_t
+sendSome(int fd, const char *data, std::size_t len)
+{
+    return ::send(fd, data, len, MSG_NOSIGNAL);
 }
 
 } // namespace
@@ -61,6 +73,25 @@ struct Server::Conn : std::enable_shared_from_this<Server::Conn>
     bool wantWrite = false; ///< queued on the IO thread's needWrite list
     bool epollout = false;  ///< EPOLLOUT armed (IO thread only)
     std::atomic<bool> closed{false};
+
+    /** Frame one response onto `out`; false if already closed. */
+    bool
+    append(Status status, Op op, std::uint8_t flags, std::uint64_t seq,
+           std::string_view payload)
+    {
+        RespHeader h{};
+        h.status = static_cast<std::uint8_t>(status);
+        h.op = static_cast<std::uint8_t>(op);
+        h.flags = flags;
+        h.valLen = static_cast<std::uint32_t>(payload.size());
+        h.seq = seq;
+        std::lock_guard lk(outMu);
+        if (closed.load(std::memory_order_acquire))
+            return false;
+        putRaw(out, h);
+        out.insert(out.end(), payload.begin(), payload.end());
+        return true;
+    }
 };
 
 /**
@@ -111,22 +142,43 @@ struct Server::ExecTiming
 
 /**
  * A shard's pending batch. tableVersion snapshots the placement version
- * at first admit; the flush compares it against the live store so a
+ * at first admit; execution compares it against the live store so a
  * batch grouped under a since-retired routing table is demoted to
  * per-op execution (see executeBatch). `inflight` serializes batches of
- * one shard: a flusher sets it under mu before executing and clears it
- * after, so a second executor can never run a later batch while an
- * earlier one is still in flight — per-shard admission order is the
- * protocol's only cross-batch ordering guarantee (a pipelined PUT then
- * same-key GET must not answer from before the PUT).
+ * one shard: an executor sets it under mu when it takes the batch and
+ * clears it after, so a second executor can never run a later batch
+ * while an earlier one is still in flight — per-shard admission order
+ * is the protocol's only cross-batch ordering guarantee (a pipelined
+ * PUT then same-key GET must not answer from before the PUT).
  */
 struct Server::ShardQueue
 {
     std::mutex mu;
     std::vector<PendOp> ops;
-    Clock::time_point oldest{};
     std::uint64_t tableVersion = 0;
     bool inflight = false; ///< a batch of this shard is executing
+};
+
+/**
+ * What one executing batch owes once its store calls are done: the
+ * connections it appended responses to, each written once when the
+ * batch ends, and each op's latency record, charged against one clock
+ * read taken after those writes (admission to response written).
+ * `conns` may repeat a connection; writeBatch dedups it. The pointers
+ * stay valid for the batch: every op holds its connection (and MULTI
+ * context) alive.
+ */
+struct Server::BatchOut
+{
+    struct Done
+    {
+        const PendOp *op;
+        const char *label;
+        obs::Hist hist;
+        ExecTiming t;
+    };
+    std::vector<Conn *> conns;
+    std::vector<Done> done;
 };
 
 /** A non-batchable request: scan, stats exposition or admin crash. */
@@ -421,8 +473,8 @@ Server::writeReady(IoThread &io, const std::shared_ptr<Conn> &conn)
     if (conn->closed.load(std::memory_order_acquire))
         return;
     while (conn->outOff < conn->out.size()) {
-        const ssize_t n = ::write(conn->fd, conn->out.data() + conn->outOff,
-                                  conn->out.size() - conn->outOff);
+        const ssize_t n = sendSome(conn->fd, conn->out.data() + conn->outOff,
+                                   conn->out.size() - conn->outOff);
         if (n > 0) {
             conn->outOff += static_cast<std::size_t>(n);
             continue;
@@ -707,13 +759,10 @@ Server::admit(PendOp &&op)
         ShardQueue &q = *queues_[s];
         std::lock_guard lk(q.mu);
         if (q.ops.empty()) {
-            q.oldest = Clock::now();
             q.tableVersion = version;
-            notify = true; // an executor must arm this queue's deadline
+            notify = true; // the queue just became runnable
         }
         q.ops.push_back(std::move(op));
-        if (q.ops.size() >= options_.maxBatch)
-            notify = true;
     }
     if (notify) {
         // Lock-then-notify: an executor between its empty scan and its
@@ -733,36 +782,39 @@ Server::respond(const std::shared_ptr<Conn> &conn, Status status, Op op,
                 std::uint8_t flags, std::uint64_t seq,
                 std::string_view payload)
 {
-    RespHeader h{};
-    h.status = static_cast<std::uint8_t>(status);
-    h.op = static_cast<std::uint8_t>(op);
-    h.flags = flags;
-    h.valLen = static_cast<std::uint32_t>(payload.size());
-    h.seq = seq;
-    {
-        std::lock_guard lk(conn->outMu);
-        if (conn->closed.load(std::memory_order_acquire))
-            return;
-        putRaw(conn->out, h);
-        conn->out.insert(conn->out.end(), payload.begin(), payload.end());
-    }
-    flushOut(conn);
+    if (conn->append(status, op, flags, seq, payload))
+        flushOut(*conn);
+}
+
+/**
+ * respond() for an executing batch: append only, and leave the write to
+ * writeBatch, which sends each touched connection's responses at once.
+ */
+void
+Server::reply(BatchOut &out, const std::shared_ptr<Conn> &conn,
+              Status status, Op op, std::uint8_t flags, std::uint64_t seq,
+              std::string_view payload)
+{
+    if (!conn->append(status, op, flags, seq, payload))
+        return;
+    if (out.conns.empty() || out.conns.back() != conn.get())
+        out.conns.push_back(conn.get());
 }
 
 void
-Server::flushOut(const std::shared_ptr<Conn> &conn)
+Server::flushOut(Conn &conn)
 {
     bool needArm = false;
     {
-        std::lock_guard lk(conn->outMu);
-        if (conn->closed.load(std::memory_order_acquire))
+        std::lock_guard lk(conn.outMu);
+        if (conn.closed.load(std::memory_order_acquire))
             return;
-        while (conn->outOff < conn->out.size()) {
+        while (conn.outOff < conn.out.size()) {
             const ssize_t n =
-                ::write(conn->fd, conn->out.data() + conn->outOff,
-                        conn->out.size() - conn->outOff);
+                sendSome(conn.fd, conn.out.data() + conn.outOff,
+                         conn.out.size() - conn.outOff);
             if (n > 0) {
-                conn->outOff += static_cast<std::size_t>(n);
+                conn.outOff += static_cast<std::size_t>(n);
                 continue;
             }
             if (n < 0 && errno == EINTR)
@@ -770,28 +822,28 @@ Server::flushOut(const std::shared_ptr<Conn> &conn)
             if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
                 // Socket full: hand the tail to the IO thread's
                 // EPOLLOUT path. One queue entry per episode.
-                if (!conn->wantWrite) {
-                    conn->wantWrite = true;
+                if (!conn.wantWrite) {
+                    conn.wantWrite = true;
                     needArm = true;
                 }
                 break;
             }
             // Hard error: drop the buffered output; the IO thread's
             // next read on this fd observes the failure and tears down.
-            conn->out.clear();
-            conn->outOff = 0;
+            conn.out.clear();
+            conn.outOff = 0;
             break;
         }
-        if (conn->outOff >= conn->out.size()) {
-            conn->out.clear();
-            conn->outOff = 0;
+        if (conn.outOff >= conn.out.size()) {
+            conn.out.clear();
+            conn.outOff = 0;
         }
     }
     if (needArm) {
-        IoThread &io = *ioThreads_[conn->io];
+        IoThread &io = *ioThreads_[conn.io];
         {
             std::lock_guard lk(io.mu);
-            io.needWrite.push_back(conn);
+            io.needWrite.push_back(conn.shared_from_this());
         }
         const std::uint64_t one = 1;
         [[maybe_unused]] ssize_t w = ::write(io.wakeFd, &one, sizeof(one));
@@ -799,7 +851,7 @@ Server::flushOut(const std::shared_ptr<Conn> &conn)
 }
 
 void
-Server::completeMulti(const std::shared_ptr<MultiCtx> &ctx)
+Server::completeMulti(const std::shared_ptr<MultiCtx> &ctx, BatchOut &out)
 {
     if (ctx->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1)
         return;
@@ -818,14 +870,13 @@ Server::completeMulti(const std::shared_ptr<MultiCtx> &ctx)
             payload.insert(payload.end(), ctx->values[i].begin(),
                            ctx->values[i].end());
         }
-        respond(ctx->conn, Status::kOk, ctx->op, 0, ctx->seq,
-                {payload.data(), payload.size()});
+        reply(out, ctx->conn, Status::kOk, ctx->op, 0, ctx->seq,
+              {payload.data(), payload.size()});
     } else {
         const std::uint32_t inserted =
             ctx->inserted.load(std::memory_order_acquire);
-        respond(ctx->conn, Status::kOk, ctx->op, 0, ctx->seq,
-                {reinterpret_cast<const char *>(&inserted),
-                 sizeof(inserted)});
+        reply(out, ctx->conn, Status::kOk, ctx->op, 0, ctx->seq,
+              {reinterpret_cast<const char *>(&inserted), sizeof(inserted)});
     }
 }
 
@@ -840,32 +891,32 @@ Server::execLoop()
     while (!stop_.load(std::memory_order_acquire)) {
         lk.unlock();
         bool did = runOneMisc();
-        did |= flushDueBatches(false);
+        did |= runPendingBatches();
         lk.lock();
-        if (did || stop_.load(std::memory_order_acquire))
+        if (did || stop_.load(std::memory_order_acquire) || !miscQ_.empty())
             continue;
-        // Nothing due: sleep to the earliest pending batch deadline
-        // (admissions and full batches notify the CV).
-        auto wake = Clock::time_point::max();
+        // Nothing ran: sleep unless a batch became runnable since the
+        // pass above. admit() notifies under execMu_, so an admission
+        // after this check lands in the wait, never before it.
+        bool runnable = false;
         for (auto &q : queues_) {
             std::lock_guard qlk(q->mu);
-            if (!q->ops.empty())
-                wake = std::min(wake, q->oldest + options_.flushDeadline);
+            runnable |= !q->inflight && !q->ops.empty();
         }
-        if (!miscQ_.empty())
-            continue;
-        if (wake == Clock::time_point::max())
+        if (!runnable)
             execCv_.wait_for(lk, std::chrono::milliseconds(100));
-        else
-            execCv_.wait_until(lk, wake);
     }
 }
 
+/**
+ * Take and execute, in turn, every shard's whole pending batch that no
+ * other executor has in flight. A batch is whatever was admitted while
+ * the executor was busy; nothing waits for a batch to fill.
+ */
 bool
-Server::flushDueBatches(bool force)
+Server::runPendingBatches()
 {
     bool any = false;
-    const auto now = Clock::now();
     for (unsigned s = 0; s < queues_.size(); ++s) {
         std::vector<PendOp> ops;
         std::uint64_t version = 0;
@@ -873,11 +924,6 @@ Server::flushDueBatches(bool force)
         {
             std::lock_guard lk(q.mu);
             if (q.inflight || q.ops.empty())
-                continue;
-            const bool due = force ||
-                             q.ops.size() >= options_.maxBatch ||
-                             now >= q.oldest + options_.flushDeadline;
-            if (!due)
                 continue;
             ops.swap(q.ops);
             version = q.tableVersion;
@@ -892,8 +938,7 @@ Server::flushDueBatches(bool force)
         }
         if (followOn) {
             // Ops admitted while this batch ran were skipped by every
-            // other executor (inflight was set); hand them off rather
-            // than relying on the deadline sleep to notice.
+            // other executor (inflight was set); wake one for them.
             std::lock_guard lk(execMu_);
             execCv_.notify_one();
         }
@@ -906,32 +951,44 @@ void
 Server::executeBatch(unsigned shardIdx, std::vector<PendOp> &ops,
                      std::uint64_t tableVersion)
 {
-    std::shared_lock storeLk(storeMu_);
     globalStats().addShard(Stat::kServerBatches, shardIdx);
     globalStats().addShard(Stat::kServerBatchedOps, shardIdx, ops.size());
     obs::ScopedRecordNs flushRec(true, obs::Hist::kServerBatchFlushNs);
-
-    // The batch was grouped by shard under the placement table current
-    // at admission. If a migration has committed since (version moved)
-    // or is in flight now, that grouping may be stale — keys of this
-    // batch can already belong to another shard, or sit inside a
-    // dual-write window. Demote exactly such batches to per-op routing:
-    // the point-op paths re-route and dual-write correctly no matter
-    // what the table does mid-op.
-    if (store_->placementVersion() != tableVersion ||
-        store_->migrationInProgress()) {
-        globalStats().add(Stat::kServerBatchFallbacks);
-        executeBatchPerOp(ops, static_cast<int>(shardIdx));
-        return;
+    BatchOut out;
+    out.done.reserve(ops.size());
+    {
+        std::shared_lock storeLk(storeMu_);
+        // The batch was grouped by shard under the placement table
+        // current at admission. If a migration has committed since
+        // (version moved) or is in flight now, that grouping may be
+        // stale — keys of this batch can already belong to another
+        // shard, or sit inside a dual-write window. Demote exactly such
+        // batches to per-op routing: the point-op paths re-route and
+        // dual-write correctly no matter what the table does mid-op.
+        if (store_->placementVersion() != tableVersion ||
+            store_->migrationInProgress()) {
+            globalStats().add(Stat::kServerBatchFallbacks);
+            executeBatchPerOp(ops, static_cast<int>(shardIdx), out);
+        } else {
+            executeRuns(shardIdx, ops, out);
+        }
     }
+    writeBatch(out);
+}
 
-    // Grouped flush in arrival-ordered *runs*: consecutive reads become
-    // one multiGet, consecutive puts one installValueBatch, and a class
-    // switch (or a remove) flushes the pending run first. Splitting
-    // into a read pass then a write pass would be one call fewer, but
-    // it reorders a same-key read-after-write admitted into one batch —
-    // pipelined clients would read their own write's past. Homogeneous
-    // bursts (the common workloads) still batch at full width.
+/**
+ * Grouped execution in arrival-ordered *runs*: consecutive reads become
+ * one multiGet, consecutive puts one installValueBatch, and a class
+ * switch (or a remove) runs the pending run first. Splitting into a
+ * read pass then a write pass would be one call fewer, but it reorders
+ * a same-key read-after-write admitted into one batch — pipelined
+ * clients would read their own write's past. Homogeneous bursts (the
+ * common workloads) still batch at full width.
+ */
+void
+Server::executeRuns(unsigned shardIdx, std::vector<PendOp> &ops,
+                    BatchOut &out)
+{
     std::vector<std::string_view> getKeys;
     std::vector<PendOp *> getOps;
     std::vector<store::InstallOp> putInstalls;
@@ -944,15 +1001,15 @@ Server::executeBatch(unsigned shardIdx, std::vector<PendOp> &ops,
         t.execStart = Clock::now();
         const std::uint64_t gate0 = obs::threadGateWaitNs();
         const std::uint64_t store0 = obs::steadyNowNs();
-        std::vector<void *> out(getKeys.size());
-        store_->multiGet(getKeys, out.data());
+        std::vector<void *> vals(getKeys.size());
+        store_->multiGet(getKeys, vals.data());
         t.storeNs = obs::steadyNowNs() - store0;
         t.gateNs = obs::threadGateWaitNs() - gate0;
         // Copy each hit's value out immediately: the pointer contract
         // (dereferenceable until the shard's next boundary after a
         // concurrent free) covers this prompt copy, not a parked one.
         for (std::size_t i = 0; i < getOps.size(); ++i)
-            finishGet(*getOps[i], out[i], t);
+            finishGet(*getOps[i], vals[i], t, out);
         getKeys.clear();
         getOps.clear();
     };
@@ -969,7 +1026,7 @@ Server::executeBatch(unsigned shardIdx, std::vector<PendOp> &ops,
         t.storeNs = obs::steadyNowNs() - store0;
         t.gateNs = obs::threadGateWaitNs() - gate0;
         for (std::size_t i = 0; i < putOps.size(); ++i)
-            finishPut(*putOps[i], putInstalls[i].inserted, t);
+            finishPut(*putOps[i], putInstalls[i].inserted, t, out);
         putInstalls.clear();
         putOps.clear();
     };
@@ -1000,9 +1057,7 @@ Server::executeBatch(unsigned shardIdx, std::vector<PendOp> &ops,
                 store_->freeValueFor(op.key, old, options_.valueBytes);
             t.storeNs = obs::steadyNowNs() - store0;
             t.gateNs = obs::threadGateWaitNs() - gate0;
-            respond(op.conn, hit ? Status::kOk : Status::kNotFound, op.op,
-                    0, op.seq, {});
-            finishOp(op, "remove", obs::Hist::kServerRemoveNs, t);
+            finishRemove(op, hit, t, out);
             break;
           }
         }
@@ -1012,7 +1067,8 @@ Server::executeBatch(unsigned shardIdx, std::vector<PendOp> &ops,
 }
 
 void
-Server::executeBatchPerOp(std::vector<PendOp> &ops, int shardIdx)
+Server::executeBatchPerOp(std::vector<PendOp> &ops, int shardIdx,
+                          BatchOut &out)
 {
     for (PendOp &op : ops) {
         ExecTiming t;
@@ -1026,7 +1082,7 @@ Server::executeBatchPerOp(std::vector<PendOp> &ops, int shardIdx)
             store_->get(op.key, val);
             t.storeNs = obs::steadyNowNs() - store0;
             t.gateNs = obs::threadGateWaitNs() - gate0;
-            finishGet(op, val, t);
+            finishGet(op, val, t, out);
             break;
           }
           case Op::kPut: {
@@ -1035,7 +1091,7 @@ Server::executeBatchPerOp(std::vector<PendOp> &ops, int shardIdx)
                 options_.valueBytes);
             t.storeNs = obs::steadyNowNs() - store0;
             t.gateNs = obs::threadGateWaitNs() - gate0;
-            finishPut(op, inserted, t);
+            finishPut(op, inserted, t, out);
             break;
           }
           default: {
@@ -1045,91 +1101,98 @@ Server::executeBatchPerOp(std::vector<PendOp> &ops, int shardIdx)
                 store_->freeValueFor(op.key, old, options_.valueBytes);
             t.storeNs = obs::steadyNowNs() - store0;
             t.gateNs = obs::threadGateWaitNs() - gate0;
-            respond(op.conn, hit ? Status::kOk : Status::kNotFound, op.op,
-                    0, op.seq, {});
-            finishOp(op, "remove", obs::Hist::kServerRemoveNs, t);
+            finishRemove(op, hit, t, out);
             break;
           }
         }
     }
 }
 
+/**
+ * The end of a batch: one write per touched connection, then one clock
+ * read that closes every op's admission-to-response-written latency in
+ * its server histogram. When slow-op tracing is on, an op that crossed
+ * the threshold also records a phase breakdown into the global ring:
+ * queueNs is admission to execution start; flushNs is the post-store
+ * remainder (response formatting, the rest of the batch and the batch's
+ * socket writes), i.e. execution-to-written minus the store call. The
+ * members of one run share the run's ExecTiming: store/gate time is
+ * attributed to each op of the run rather than divided, since each op
+ * genuinely waited for the whole run.
+ */
 void
-Server::finishGet(PendOp &op, const void *val, const ExecTiming &t)
+Server::writeBatch(BatchOut &out)
 {
+    std::sort(out.conns.begin(), out.conns.end());
+    out.conns.erase(std::unique(out.conns.begin(), out.conns.end()),
+                    out.conns.end());
+    for (Conn *conn : out.conns)
+        flushOut(*conn);
+    const auto written = Clock::now();
+    const auto ns = [](Clock::duration d) {
+        return static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(d)
+                .count());
+    };
+    const std::uint64_t thresholdNs = ns(options_.slowOpThreshold);
+    for (const BatchOut::Done &d : out.done) {
+        const std::uint64_t totalNs = ns(written - d.op->admitted);
+        obs::recordNs(d.hist, totalNs);
+        if (thresholdNs == 0 || totalNs < thresholdNs)
+            continue;
+        const std::uint64_t queueNs = ns(d.t.execStart - d.op->admitted);
+        const std::uint64_t execNs = ns(written - d.t.execStart);
+        const std::uint64_t flushNs =
+            execNs > d.t.storeNs ? execNs - d.t.storeNs : 0;
+        obs::slowOps().record(d.label, d.t.shard, d.op->seq, totalNs,
+                              queueNs, d.t.gateNs, d.t.storeNs, flushNs);
+    }
+}
+
+void
+Server::finishGet(PendOp &op, const void *val, const ExecTiming &t,
+                  BatchOut &out)
+{
+    out.done.push_back({&op, "get", obs::Hist::kServerGetNs, t});
     if (op.multi) {
         if (val != nullptr) {
             op.multi->hit[op.slot] = 1;
             op.multi->values[op.slot].assign(
                 static_cast<const char *>(val), options_.valueBytes);
         }
-        completeMulti(op.multi);
-        finishOp(op, "get", obs::Hist::kServerGetNs, t);
+        completeMulti(op.multi, out);
         return;
     }
     if (val == nullptr) {
-        respond(op.conn, Status::kNotFound, Op::kGet, 0, op.seq, {});
-        finishOp(op, "get", obs::Hist::kServerGetNs, t);
+        reply(out, op.conn, Status::kNotFound, Op::kGet, 0, op.seq, {});
         return;
     }
-    respond(op.conn, Status::kOk, Op::kGet, 0, op.seq,
-            {static_cast<const char *>(val), options_.valueBytes});
-    finishOp(op, "get", obs::Hist::kServerGetNs, t);
+    reply(out, op.conn, Status::kOk, Op::kGet, 0, op.seq,
+          {static_cast<const char *>(val), options_.valueBytes});
 }
 
 void
-Server::finishPut(PendOp &op, bool inserted, const ExecTiming &t)
+Server::finishPut(PendOp &op, bool inserted, const ExecTiming &t,
+                  BatchOut &out)
 {
+    out.done.push_back({&op, "put", obs::Hist::kServerPutNs, t});
     if (op.multi) {
         if (inserted)
             op.multi->inserted.fetch_add(1, std::memory_order_acq_rel);
-        completeMulti(op.multi);
-        finishOp(op, "put", obs::Hist::kServerPutNs, t);
+        completeMulti(op.multi, out);
         return;
     }
-    respond(op.conn, Status::kOk, Op::kPut,
-            inserted ? kFlagInserted : 0, op.seq, {});
-    finishOp(op, "put", obs::Hist::kServerPutNs, t);
+    reply(out, op.conn, Status::kOk, Op::kPut, inserted ? kFlagInserted : 0,
+          op.seq, {});
 }
 
-/**
- * Common tail of every executed point op: record the admission-to-now
- * latency into the op's server histogram, and — when slow-op tracing is
- * on and this op crossed the threshold — a phase breakdown into the
- * global ring. queueNs is admission to execution start; flushNs is the
- * post-store remainder (response formatting + socket buffering), i.e.
- * execution-to-now minus the store call. The batch members of one run
- * share the run's ExecTiming: store/gate time is attributed to each op
- * of the run rather than divided, since each op genuinely waited for
- * the whole run.
- */
 void
-Server::finishOp(const PendOp &op, const char *label, obs::Hist h,
-                 const ExecTiming &t)
+Server::finishRemove(PendOp &op, bool hit, const ExecTiming &t,
+                     BatchOut &out)
 {
-    const auto now = Clock::now();
-    const auto ns = [](Clock::duration d) {
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(d)
-                .count());
-    };
-    const std::uint64_t totalNs = ns(now - op.admitted);
-    obs::recordNs(h, totalNs);
-    if (options_.slowOpThreshold.count() <= 0)
-        return;
-    const std::uint64_t thresholdNs =
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                options_.slowOpThreshold)
-                .count());
-    if (totalNs < thresholdNs)
-        return;
-    const std::uint64_t queueNs = ns(t.execStart - op.admitted);
-    const std::uint64_t execNs = ns(now - t.execStart);
-    const std::uint64_t flushNs =
-        execNs > t.storeNs ? execNs - t.storeNs : 0;
-    obs::slowOps().record(label, t.shard, op.seq, totalNs, queueNs,
-                          t.gateNs, t.storeNs, flushNs);
+    out.done.push_back({&op, "remove", obs::Hist::kServerRemoveNs, t});
+    reply(out, op.conn, hit ? Status::kOk : Status::kNotFound, op.op, 0,
+          op.seq, {});
 }
 
 bool

@@ -12,13 +12,14 @@
  *    remaining-counter context reassembling the single response when
  *    the last sub-op completes. Admission never touches a tree.
  *
- *  - *Execution* (executor threads): a shard's pending batch is flushed
- *    to the store — multiGet for the reads, installValueBatch for the
- *    writes — once it reaches Options::maxBatch ops or its oldest op
- *    has waited Options::flushDeadline. The batch therefore pays the
- *    store's one-gate-entry-per-shard cost for the whole group, which
- *    is where the server's throughput comes from; the deadline bounds
- *    the latency a sparse connection pays for that batching.
+ *  - *Execution* (executor threads): an executor that is free takes a
+ *    shard's whole pending batch at once and runs it against the store
+ *    — multiGet for the reads, installValueBatch for the writes. A
+ *    batch is therefore whatever was admitted while the executor was
+ *    busy: there is no size or age threshold, so an idle server adds
+ *    no batching delay and a loaded one batches as widely as its load.
+ *    The batch pays the store's one-gate-entry-per-shard cost for the
+ *    whole group, which is where the server's throughput comes from.
  *
  * Batches remember the placement version they were grouped under: if a
  * migration commits between admission and flush (or is in flight at
@@ -27,11 +28,15 @@
  * construction. Scans execute per-op on executors (they take gates for
  * their whole duration and do not batch).
  *
- * Responses are appended to a per-connection output buffer and written
- * by whichever thread completed the op; short writes arm EPOLLOUT on
- * the connection's IO thread via an eventfd. Ops hold the connection
- * alive by shared_ptr, so a client teardown mid-batch drops the
- * responses but never the executed ops — the store stays consistent.
+ * Responses are appended to a per-connection output buffer. An executed
+ * batch writes each connection it touched once, after its last store
+ * call (MULTI responses and demoted per-op batches included); IO-thread
+ * and misc-op responses are written as they are made. Short writes arm
+ * EPOLLOUT on the connection's IO thread via an eventfd. Writes never
+ * raise SIGPIPE: a client that resets with responses outstanding costs
+ * its own connection, not the process. Ops hold the connection alive by
+ * shared_ptr, so a client teardown mid-batch drops the responses but
+ * never the executed ops — the store stays consistent.
  *
  * The server owns its store: the kCrash admin op (Options::allowCrash)
  * quiesces execution, crash-cycles the emulated NVM pools in place and
@@ -72,10 +77,6 @@ class Server
         unsigned ioThreads = 2;
         /** Store-execution threads draining the shard batches. */
         unsigned executorThreads = 2;
-        /** Flush a shard's pending batch at this many ops... */
-        std::size_t maxBatch = 64;
-        /** ...or once its oldest op has waited this long. */
-        std::chrono::microseconds flushDeadline{200};
         /** Uniform durable value-buffer size (the store's contract). */
         std::size_t valueBytes = 32;
         /** Serve the kCrash admin op (crash-cycle + recover in place). */
@@ -141,6 +142,7 @@ class Server
     struct MiscOp;
     struct IoThread;
     struct ExecTiming;
+    struct BatchOut;
 
     void ioLoop(unsigned self);
     void execLoop();
@@ -163,17 +165,26 @@ class Server
     void respond(const std::shared_ptr<Conn> &conn, Status status, Op op,
                  std::uint8_t flags, std::uint64_t seq,
                  std::string_view payload);
-    void flushOut(const std::shared_ptr<Conn> &conn);
-    void completeMulti(const std::shared_ptr<MultiCtx> &ctx);
+    void reply(BatchOut &out, const std::shared_ptr<Conn> &conn,
+               Status status, Op op, std::uint8_t flags, std::uint64_t seq,
+               std::string_view payload);
+    void flushOut(Conn &conn);
+    void completeMulti(const std::shared_ptr<MultiCtx> &ctx, BatchOut &out);
 
-    bool flushDueBatches(bool force);
+    bool runPendingBatches();
     void executeBatch(unsigned shardIdx, std::vector<PendOp> &ops,
                       std::uint64_t tableVersion);
-    void executeBatchPerOp(std::vector<PendOp> &ops, int shardIdx);
-    void finishGet(PendOp &op, const void *val, const ExecTiming &t);
-    void finishPut(PendOp &op, bool inserted, const ExecTiming &t);
-    void finishOp(const PendOp &op, const char *label, obs::Hist h,
-                  const ExecTiming &t);
+    void executeRuns(unsigned shardIdx, std::vector<PendOp> &ops,
+                     BatchOut &out);
+    void executeBatchPerOp(std::vector<PendOp> &ops, int shardIdx,
+                           BatchOut &out);
+    void writeBatch(BatchOut &out);
+    void finishGet(PendOp &op, const void *val, const ExecTiming &t,
+                   BatchOut &out);
+    void finishPut(PendOp &op, bool inserted, const ExecTiming &t,
+                   BatchOut &out);
+    void finishRemove(PendOp &op, bool hit, const ExecTiming &t,
+                      BatchOut &out);
     bool runOneMisc();
     void executeScan(const MiscOp &op);
     void executeStats(const MiscOp &op);

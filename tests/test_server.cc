@@ -7,11 +7,14 @@
  * fragmented requests (framing must tolerate arbitrary TCP segmenting),
  * error statuses (kTooLarge, kRefused, kBadRequest-closes-connection),
  * client teardown mid-batch (dropped responses must not corrupt the
- * store), concurrent clients checked against std::map oracles over
- * disjoint key ranges, the crash admin op (crash-cycle + recovery over
- * the wire), the migration regression: moveBoundary committing
- * between batch admission and flush must demote the batch to per-op
- * routing, never serve through the stale table — and the kStats
+ * store) and client resets with responses outstanding (no SIGPIPE),
+ * concurrent clients checked against std::map oracles over disjoint
+ * key ranges, pipelined responses beyond the socket buffers (the
+ * EPOLLOUT path under coalesced batch writes), the crash admin op
+ * (crash-cycle + recovery over the wire), the migration regression: a
+ * batch executed while its placement snapshot is stale or a migration
+ * is in flight must demote to per-op routing, never serve through the
+ * stale table — the slow-op phases of batched ops, and the kStats
  * exposition scraped mid add/merge/retire (labeled shard series stay
  * unique, no dangling ids).
  */
@@ -24,12 +27,15 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/stats.h"
 #include "server/protocol.h"
 #include "server/server.h"
 #include "store/sharded_store.h"
@@ -75,8 +81,6 @@ quickServerOptions()
     Server::Options o;
     o.ioThreads = 2;
     o.executorThreads = 2;
-    o.maxBatch = 16;
-    o.flushDeadline = std::chrono::microseconds(100);
     o.valueBytes = kValueBytes;
     return o;
 }
@@ -94,10 +98,15 @@ struct Resp
 class Client
 {
   public:
-    explicit Client(std::uint16_t port)
+    /** @p rcvBuf > 0 caps the receive buffer (set before connecting,
+     *  so it also caps the advertised window). */
+    explicit Client(std::uint16_t port, int rcvBuf = 0)
     {
         fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
         EXPECT_GE(fd_, 0);
+        if (rcvBuf > 0)
+            ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvBuf,
+                         sizeof(rcvBuf));
         sockaddr_in addr{};
         addr.sin_family = AF_INET;
         addr.sin_port = htons(port);
@@ -125,6 +134,15 @@ class Client
     {
         ::close(fd_);
         fd_ = -1;
+    }
+
+    /** Abandon the connection with a TCP reset (SO_LINGER 0). */
+    void
+    resetNow()
+    {
+        const linger lg{1, 0};
+        ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
+        abortNow();
     }
 
     void
@@ -165,20 +183,18 @@ class Client
     bool
     recvResp(Resp &r)
     {
-        while (in_.size() < sizeof(RespHeader)) {
+        while (in_.size() - head_ < sizeof(RespHeader)) {
             if (!fill())
                 return false;
         }
-        std::memcpy(&r.h, in_.data(), sizeof(RespHeader));
-        while (in_.size() < sizeof(RespHeader) + r.h.valLen) {
+        std::memcpy(&r.h, in_.data() + head_, sizeof(RespHeader));
+        while (in_.size() - head_ < sizeof(RespHeader) + r.h.valLen) {
             if (!fill())
                 return false;
         }
-        r.payload.assign(in_.data() + sizeof(RespHeader), r.h.valLen);
-        in_.erase(in_.begin(),
-                  in_.begin() +
-                      static_cast<std::ptrdiff_t>(sizeof(RespHeader) +
-                                                  r.h.valLen));
+        r.payload.assign(in_.data() + head_ + sizeof(RespHeader),
+                         r.h.valLen);
+        head_ += sizeof(RespHeader) + r.h.valLen;
         return true;
     }
 
@@ -199,6 +215,10 @@ class Client
     bool
     fill()
     {
+        // Drop the consumed prefix once per read, not once per response.
+        in_.erase(in_.begin(),
+                  in_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
         char buf[16 * 1024];
         const ssize_t n = ::read(fd_, buf, sizeof(buf));
         if (n <= 0)
@@ -209,6 +229,7 @@ class Client
 
     int fd_ = -1;
     std::vector<char> in_;
+    std::size_t head_ = 0; ///< start of the unparsed bytes in in_
 };
 
 TEST(ServerProtocol, PointOpsRoundTrip)
@@ -503,6 +524,55 @@ TEST(ServerTeardown, MidBatchDisconnectLeavesStoreServing)
     ycsb::destroyWithValues(server.store());
 }
 
+/**
+ * Regression: a client that resets its connection while thousands of
+ * its responses are still being written. After the reset the server's
+ * next write to that socket fails with ECONNRESET and the one after
+ * with EPIPE, which raises SIGPIPE — and ends the whole process —
+ * unless the write suppresses it. Each rude client reads one response
+ * first, so the reset lands while the executors are mid-stream.
+ */
+TEST(ServerTeardown, ResetWithResponsesOutstandingKeepsServing)
+{
+    Server server(
+        std::make_unique<store::ShardedStore>(serverStoreOptions(4)),
+        store::StoreConfig{}, quickServerOptions());
+    server.start();
+    {
+        Client c(server.port());
+        for (std::uint64_t r = 0; r < 100; ++r)
+            c.roundTrip(Op::kPut, key(r), valueFor(r), r);
+    }
+
+    for (int round = 0; round < 8; ++round) {
+        Client rude(server.port());
+        std::vector<char> wire;
+        for (std::uint64_t i = 0; i < 3000; ++i) {
+            const std::string k = key(i % 100);
+            ReqHeader h{};
+            h.op = static_cast<std::uint8_t>(Op::kGet);
+            h.keyLen = static_cast<std::uint16_t>(k.size());
+            h.seq = i;
+            putRaw(wire, h);
+            wire.insert(wire.end(), k.begin(), k.end());
+        }
+        rude.sendBytes(wire.data(), wire.size());
+        Resp first;
+        ASSERT_TRUE(rude.recvResp(first));
+        rude.resetNow();
+    }
+
+    // Still alive, and still serving.
+    Client c(server.port());
+    for (std::uint64_t r = 0; r < 100; ++r) {
+        const Resp g = c.roundTrip(Op::kGet, key(r), {}, 1000 + r);
+        ASSERT_EQ(g.status(), Status::kOk) << "rank " << r;
+        EXPECT_EQ(g.payload, valueFor(r)) << "rank " << r;
+    }
+
+    ycsb::destroyWithValues(server.store());
+}
+
 TEST(ServerConcurrency, ClientsMatchMapOracles)
 {
     Server server(
@@ -571,15 +641,15 @@ TEST(ServerConcurrency, ClientsMatchMapOracles)
 /**
  * Regression: batches of one shard must execute in admission order even
  * with several executor threads (at most one batch per shard in
- * flight). With maxBatch = 1 every pipelined op is its own immediately
- * due batch, so a PUT and a same-key GET land in adjacent batches — a
- * second executor flushing the GET batch while the PUT batch is still
- * in flight would answer from before the PUT.
+ * flight). A free executor takes whatever the shard has pending, so a
+ * pipelined stream splits into small adjacent batches of one shard and
+ * a PUT and its same-key GET often land in different ones — a second
+ * executor running the GET's batch while the PUT's is still in flight
+ * would answer from before the PUT.
  */
 TEST(ServerConcurrency, PipelinedSameKeyOrderedAcrossBatches)
 {
     Server::Options so = quickServerOptions();
-    so.maxBatch = 1;
     so.executorThreads = 4;
     Server server(
         std::make_unique<store::ShardedStore>(serverStoreOptions(2)),
@@ -613,6 +683,65 @@ TEST(ServerConcurrency, PipelinedSameKeyOrderedAcrossBatches)
         EXPECT_EQ(r.payload, valueFor(i)) << "pair " << i;
     }
     writer.join();
+
+    ycsb::destroyWithValues(server.store());
+}
+
+/**
+ * Coalesced output under back-pressure: a client pipelines far more get
+ * responses than its capped receive window and the server's send
+ * buffer hold, and reads none until the server has executed them all.
+ * Batch writes then hit EAGAIN and hand their tail to the IO thread's
+ * EPOLLOUT path while the executors keep appending whole batches'
+ * responses behind it. Every seq must come back exactly once, with its
+ * key's value. The responses total ~4.8 MB: the kernel grows a
+ * loopback send buffer up to the tcp_wmem ceiling (4 MiB by default),
+ * and only output beyond that is sure to block.
+ */
+TEST(ServerBackpressure, PipelinedGetsBeyondSocketBuffers)
+{
+    Server server(
+        std::make_unique<store::ShardedStore>(serverStoreOptions(4)),
+        store::StoreConfig{}, quickServerOptions());
+    server.start();
+    constexpr std::uint64_t kKeys = 500;
+    {
+        Client c(server.port());
+        for (std::uint64_t r = 0; r < kKeys; ++r)
+            c.roundTrip(Op::kPut, key(r), valueFor(r), r);
+    }
+
+    constexpr std::uint64_t kGets = 100000;
+    Client c(server.port(), 16 * 1024);
+    std::vector<char> wire;
+    for (std::uint64_t i = 0; i < kGets; ++i) {
+        const std::string k = key(i % kKeys);
+        ReqHeader h{};
+        h.op = static_cast<std::uint8_t>(Op::kGet);
+        h.keyLen = static_cast<std::uint16_t>(k.size());
+        h.seq = i;
+        putRaw(wire, h);
+        wire.insert(wire.end(), k.begin(), k.end());
+    }
+    const auto getsRecorded = [] {
+        return obs::hist(obs::Hist::kServerGetNs).snapshot().count;
+    };
+    const std::uint64_t gets0 = getsRecorded();
+    c.sendBytes(wire.data(), wire.size());
+    // A get is recorded after its batch's write, so once all are, every
+    // response the sockets could not take is parked behind EPOLLOUT.
+    while (getsRecorded() - gets0 < kGets)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+    std::vector<std::uint8_t> seen(kGets, 0);
+    for (std::uint64_t n = 0; n < kGets; ++n) {
+        Resp r;
+        ASSERT_TRUE(c.recvResp(r)) << "after " << n << " responses";
+        ASSERT_LT(r.h.seq, kGets);
+        EXPECT_EQ(seen[r.h.seq]++, 0) << "seq " << r.h.seq << " twice";
+        ASSERT_EQ(r.status(), Status::kOk) << "seq " << r.h.seq;
+        EXPECT_EQ(r.payload, valueFor(r.h.seq % kKeys)) << "seq " << r.h.seq;
+    }
 
     ycsb::destroyWithValues(server.store());
 }
@@ -661,13 +790,8 @@ TEST(ServerMigration, MoveBoundaryUnderServerLoad)
     store::ShardedStore::Options sto = serverStoreOptions(4);
     sto.config.placement = store::PlacementKind::kRange;
     sto.config.rangeBoundaries = {key(500), key(1000), key(1500)};
-    Server::Options so = quickServerOptions();
-    // A generous deadline widens the admission->flush window the
-    // migration must land in.
-    so.flushDeadline = std::chrono::microseconds(500);
-    so.maxBatch = 32;
     Server server(std::make_unique<store::ShardedStore>(sto),
-                  sto.config, so);
+                  sto.config, quickServerOptions());
     server.start();
 
     {
@@ -743,6 +867,88 @@ TEST(ServerMigration, MoveBoundaryUnderServerLoad)
     ycsb::destroyWithValues(server.store());
 }
 
+/**
+ * The demotion path, deterministically: a moveBoundary parked at its
+ * first kCopy chunk has published its migration window, so every batch
+ * executed meanwhile must run per-op. With one request in flight each
+ * batch holds exactly one op, so server_batch_fallbacks must advance
+ * once per request, and gets and puts into the moving interval [500,
+ * 750) and beside it must all answer correctly — during the move and
+ * after it commits.
+ */
+TEST(ServerMigration, BatchesDemotedWhileMoveParkedInCopy)
+{
+    store::ShardedStore::Options sto = serverStoreOptions(4);
+    sto.config.placement = store::PlacementKind::kRange;
+    sto.config.rangeBoundaries = {key(500), key(1000), key(1500)};
+    Server server(std::make_unique<store::ShardedStore>(sto), sto.config,
+                  quickServerOptions());
+    server.start();
+    Client c(server.port());
+    for (std::uint64_t r = 0; r < 2000; ++r)
+        c.roundTrip(Op::kPut, key(r), valueFor(r), r);
+
+    std::promise<void> parked;
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    bool first = true;
+    store::MoveOptions mo;
+    mo.valueBytes = kValueBytes;
+    mo.chunkKeys = 64;
+    mo.phaseGate = [&](store::MovePhase p) {
+        if (p == store::MovePhase::kCopy && first) {
+            first = false;
+            parked.set_value();
+            released.wait();
+        }
+        return true;
+    };
+    store::MoveResult res;
+    std::thread mover([&] {
+        res = server.store().moveBoundary(1, 0, key(750), mo);
+    });
+    parked.get_future().wait();
+    ASSERT_TRUE(server.store().migrationInProgress());
+
+    // Ranks 400..899 step 5: below, inside and above the moving
+    // interval. Each is updated then read back while the move is
+    // parked, one request at a time.
+    const std::uint64_t fallbacks0 =
+        globalStats().get(Stat::kServerBatchFallbacks);
+    std::uint64_t requests = 0;
+    std::uint64_t seq = 10000;
+    for (std::uint64_t r = 400; r < 900; r += 5) {
+        const Resp g = c.roundTrip(Op::kGet, key(r), {}, seq++);
+        ASSERT_EQ(g.status(), Status::kOk) << "rank " << r;
+        EXPECT_EQ(g.payload, valueFor(r)) << "rank " << r;
+        const Resp p = c.roundTrip(Op::kPut, key(r), valueFor(r + 7), seq++);
+        ASSERT_EQ(p.status(), Status::kOk) << "rank " << r;
+        EXPECT_EQ(p.h.flags, 0) << "rank " << r; // an update, not an insert
+        const Resp g2 = c.roundTrip(Op::kGet, key(r), {}, seq++);
+        ASSERT_EQ(g2.status(), Status::kOk) << "rank " << r;
+        EXPECT_EQ(g2.payload, valueFor(r + 7)) << "rank " << r;
+        requests += 3;
+    }
+    EXPECT_EQ(globalStats().get(Stat::kServerBatchFallbacks) - fallbacks0,
+              requests);
+
+    release.set_value();
+    mover.join();
+    ASSERT_TRUE(res.completed);
+    EXPECT_FALSE(server.store().migrationInProgress());
+
+    // After the commit: every write made during the move is served by
+    // the interval's new owner, and the untouched keys are intact.
+    for (std::uint64_t r = 400; r < 900; ++r) {
+        const Resp g = c.roundTrip(Op::kGet, key(r), {}, seq++);
+        ASSERT_EQ(g.status(), Status::kOk) << "rank " << r;
+        EXPECT_EQ(g.payload, valueFor(r % 5 == 0 ? r + 7 : r))
+            << "rank " << r;
+    }
+
+    ycsb::destroyWithValues(server.store());
+}
+
 /** Value of a plain `name N` Prometheus sample line, or -1. */
 long long
 promCounter(const std::string &body, const std::string &name)
@@ -805,6 +1011,65 @@ TEST(ServerProtocol, StatsExposition)
     ycsb::destroyWithValues(server.store());
 }
 
+/** Value of `"name": N` inside one JSON object @p entry, or -1. */
+long long
+jsonField(const std::string &entry, const std::string &name)
+{
+    const std::string needle = "\"" + name + "\": ";
+    const std::size_t at = entry.find(needle);
+    if (at == std::string::npos)
+        return -1;
+    return std::strtoll(entry.c_str() + at + needle.size(), nullptr, 10);
+}
+
+/**
+ * Slow-op tracing on the batch path: with a 1 us threshold every wire
+ * op leaves an entry in the JSON exposition. Its phases share the one
+ * clock read that closes the batch after its write, so queue + store +
+ * flush equals the total exactly, and flush — which spans the batch's
+ * socket write — is never empty.
+ */
+TEST(ServerProtocol, SlowOpPhasesEndAtTheBatchWrite)
+{
+    Server::Options so = quickServerOptions();
+    so.slowOpThreshold = std::chrono::microseconds(1);
+    Server server(
+        std::make_unique<store::ShardedStore>(serverStoreOptions(2)),
+        store::StoreConfig{}, so);
+    server.start();
+    Client c(server.port());
+    c.roundTrip(Op::kPut, key(1), valueFor(1), 7001);
+    c.roundTrip(Op::kGet, key(1), {}, 7002);
+    c.roundTrip(Op::kRemove, key(1), {}, 7003);
+    c.sendReq(Op::kStats, {}, {}, 7004);
+    Resp r;
+    ASSERT_TRUE(c.recvResp(r));
+    ASSERT_EQ(r.status(), Status::kOk);
+
+    const std::pair<std::uint64_t, const char *> traced[] = {
+        {7001, "put"}, {7002, "get"}, {7003, "remove"}};
+    for (const auto &[seq, op] : traced) {
+        const std::size_t at =
+            r.payload.find("\"seq\": " + std::to_string(seq) + ",");
+        ASSERT_NE(at, std::string::npos) << "no slow-op entry for " << op;
+        const std::size_t begin = r.payload.rfind('{', at);
+        const std::string entry =
+            r.payload.substr(begin, r.payload.find('}', at) - begin);
+        EXPECT_NE(entry.find(std::string("\"op\": \"") + op + "\""),
+                  std::string::npos)
+            << entry;
+        const long long total = jsonField(entry, "total_ns");
+        EXPECT_GT(total, 0) << entry;
+        EXPECT_GT(jsonField(entry, "flush_ns"), 0) << entry;
+        EXPECT_EQ(jsonField(entry, "queue_ns") + jsonField(entry, "store_ns") +
+                      jsonField(entry, "flush_ns"),
+                  total)
+            << entry;
+    }
+
+    ycsb::destroyWithValues(server.store());
+}
+
 /**
  * The `family{shard="N"}` samples of one Prometheus body, keyed by N.
  * Fails the calling test on a duplicated label or an id outside
@@ -850,11 +1115,8 @@ TEST(ServerProtocol, StatsExpositionDuringTopologyChange)
     store::ShardedStore::Options sto = serverStoreOptions(3);
     sto.config.placement = store::PlacementKind::kRange;
     sto.config.rangeBoundaries = {key(500), key(1000)};
-    Server::Options so = quickServerOptions();
-    so.flushDeadline = std::chrono::microseconds(500);
-    so.maxBatch = 32;
     Server server(std::make_unique<store::ShardedStore>(sto), sto.config,
-                  so);
+                  quickServerOptions());
     server.start();
 
     {
