@@ -123,9 +123,11 @@ main()
 
     service.stop();
     const auto c = service.totalCounters();
-    std::printf("service total: %llu advances, %.2f ms boundary time\n",
+    std::printf("service total: %llu advances, %.2f ms boundary time, "
+                "%llu idle boundaries skipped\n",
                 static_cast<unsigned long long>(c.advances),
-                c.boundaryNs / 1e6);
+                c.boundaryNs / 1e6,
+                static_cast<unsigned long long>(c.idleSkips));
 
     const bool ok = hits == lookup.size() - 1 && seen == 100;
     std::printf("%s\n", ok ? "async epochs + batched ops — OK"

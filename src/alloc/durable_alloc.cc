@@ -199,14 +199,10 @@ DurableAllocator::DurableAllocator(nvm::Pool &pool, EpochManager &epochs,
     for (auto &a : arenaOfSlot_)
         a.store(0xff, std::memory_order_relaxed);
 
-    epochs_.registerPrepareHook([this] {
-        if (lockFree_)
-            drainClose();
-    });
+    epochs_.registerPrepareHook([this] { drainClose(); });
     epochs_.registerAdvanceHook([this](std::uint64_t newEpoch) {
         promotePending(newEpoch);
-        if (lockFree_)
-            drainOpen();
+        drainOpen();
     });
 }
 
@@ -307,7 +303,7 @@ DurableAllocator::arenaOfThisThread()
 void
 DurableAllocator::logHeadInCLL(HeadRecord &rec)
 {
-    const std::uint64_t epoch = epochs_.currentEpoch();
+    const std::uint64_t epoch = epochs_.writeEpoch();
     if (rec.epoch == epoch)
         return; // already logged this epoch
     // In-cache-line log: old values first, then the epoch stamp; the
@@ -358,7 +354,7 @@ void
 DurableAllocator::writeObjectNext(ObjectHeader *o, void *newNext)
 {
     const auto epoch32 =
-        static_cast<std::uint32_t>(epochs_.currentEpoch());
+        static_cast<std::uint32_t>(epochs_.writeEpoch());
     const std::uint64_t next = loadW(o->next, std::memory_order_relaxed);
     const std::uint64_t inCll =
         loadW(o->nextInCLL, std::memory_order_relaxed);
@@ -423,7 +419,7 @@ DurableAllocator::recoverObjectHeader(ObjectHeader *o)
 
     void *oldNext = PackedWord::pointer(inCll);
     const auto epoch32 =
-        static_cast<std::uint32_t>(epochs_.currentEpoch());
+        static_cast<std::uint32_t>(epochs_.writeEpoch());
     const std::uint8_t ctr = (cn + 1) & 0x3;
     storeW(o->nextInCLL,
            PackedWord::pack(
@@ -474,7 +470,7 @@ DurableAllocator::refillLocked(std::uint32_t arena, std::uint32_t slot)
     // Chain the fresh objects; the last one points at the current head.
     void *tailNext = reinterpret_cast<void *>(fr.head);
     const auto epoch32 =
-        static_cast<std::uint32_t>(epochs_.currentEpoch());
+        static_cast<std::uint32_t>(epochs_.writeEpoch());
     for (std::size_t i = count; i-- > 0;) {
         auto *o = reinterpret_cast<ObjectHeader *>(slab + i * stride +
                                                    headerOff);
@@ -502,6 +498,7 @@ void *
 DurableAllocator::allocSlotLocked(std::uint32_t slot)
 {
     const std::uint32_t arena = arenaOfThisThread();
+    DrainPin pin(*this);
     std::lock_guard<SpinLock> guard(lockOf(arena, slot));
 
     HeadRecord &fr = headOf(arena, slot, kFree);
@@ -523,6 +520,7 @@ void
 DurableAllocator::freeSlotLocked(std::uint32_t slot, void *p)
 {
     const std::uint32_t arena = arenaOfThisThread();
+    DrainPin pin(*this);
     std::lock_guard<SpinLock> guard(lockOf(arena, slot));
 
     auto *o = reinterpret_cast<ObjectHeader *>(
@@ -540,14 +538,14 @@ DurableAllocator::freeSlotLocked(std::uint32_t slot, void *p)
 void
 DurableAllocator::promotePendingLocked()
 {
-    // Runs as an epoch-advance hook, under the exclusive gate, after the
-    // global flush: every pending object's free was checkpointed, so the
-    // pending list may now feed allocations (EBR rule).
+    // Runs as an epoch-advance hook, under the exclusive gate and the
+    // closed drain fence, after the global flush: every pending object's
+    // free was checkpointed, so the pending list may now feed
+    // allocations (EBR rule).
     for (std::uint32_t arena = 0; arena < numArenas_; ++arena) {
         for (std::uint32_t slot = 0; slot < kNumSlots; ++slot) {
-            // Tree operations are quiesced by the epoch gate, but the
-            // allocator is also used directly (value buffers), so take
-            // the list lock against concurrent alloc/free.
+            // No list operation is in flight (the fence is closed); the
+            // lock keeps the locked mode's own invariant.
             std::lock_guard<SpinLock> guard(lockOf(arena, slot));
             HeadRecord &pr = headOf(arena, slot, kPending);
             if (pr.head == 0)
@@ -603,7 +601,7 @@ DurableAllocator::cachePut(std::uint32_t arena, std::uint32_t slot,
     if (taken == n)
         return;
     HeadRecord &fr = headOf(arena, slot, kFree);
-    ensureLoggedShared(fr, epochs_.currentEpoch());
+    ensureLoggedShared(fr, epochs_.writeEpoch());
     for (std::size_t i = taken; i + 1 < n; ++i)
         writeObjectNext(static_cast<ObjectHeader *>(objs[i]),
                         objs[i + 1]);
@@ -740,7 +738,7 @@ DurableAllocator::allocSlotLF(std::uint32_t slot)
     }
     const std::uint32_t arena = arenaOfThisThread();
     DrainPin pin(*this);
-    const std::uint64_t epoch = epochs_.currentEpoch();
+    const std::uint64_t epoch = epochs_.writeEpoch();
     HeadRecord &fr = headOf(arena, slot, kFree);
     void *seg[kCacheTarget + 1];
     for (;;) {
@@ -763,7 +761,7 @@ DurableAllocator::freeSlotLF(std::uint32_t slot, void *p)
         static_cast<char *>(p) - kHeaderSize);
     const std::uint32_t arena = arenaOfThisThread();
     DrainPin pin(*this);
-    const std::uint64_t epoch = epochs_.currentEpoch();
+    const std::uint64_t epoch = epochs_.writeEpoch();
     // Frees bypass the thread cache: EBR requires a freed object to
     // wait out the epoch on the pending list, and tests/diagnostics
     // rely on pendingCount being exact immediately after a free.
@@ -783,7 +781,7 @@ DurableAllocator::allocManyLF(std::uint32_t slot, void **out,
     if (got < n) {
         const std::uint32_t arena = arenaOfThisThread();
         DrainPin pin(*this);
-        const std::uint64_t epoch = epochs_.currentEpoch();
+        const std::uint64_t epoch = epochs_.writeEpoch();
         HeadRecord &fr = headOf(arena, slot, kFree);
         while (got < n) {
             const std::size_t k =
@@ -806,7 +804,7 @@ DurableAllocator::freeManyLF(std::uint32_t slot, void *const *ps,
 {
     const std::uint32_t arena = arenaOfThisThread();
     DrainPin pin(*this);
-    const std::uint64_t epoch = epochs_.currentEpoch();
+    const std::uint64_t epoch = epochs_.writeEpoch();
     HeadRecord &pr = headOf(arena, slot, kPending);
     ensureLoggedShared(pr, epoch);
     // Link the batch into one private chain, then publish it with a
@@ -892,7 +890,7 @@ DurableAllocator::drainLocalCaches()
                 continue;
             DrainPin pin(*this);
             HeadRecord &fr = headOf(arena, slot, kFree);
-            ensureLoggedShared(fr, epochs_.currentEpoch());
+            ensureLoggedShared(fr, epochs_.writeEpoch());
             for (std::size_t i = 0; i + 1 < n; ++i)
                 writeObjectNext(static_cast<ObjectHeader *>(objs[i]),
                                 objs[i + 1]);

@@ -34,10 +34,13 @@
  *    allocMany/freeMany move N objects with O(1) shared-list CASes.
  *    First-touch-per-epoch in-line logging of a shared record is
  *    arbitrated by a transient claim word so exactly one thread writes
- *    the InCLL copies and epoch stamp. Epoch boundaries close a drain
- *    fence (an EpochManager prepare hook) so no shared-list operation
- *    straddles the global flush; pending→free promotion then runs
- *    exclusively, exactly as in the locked mode.
+ *    the InCLL copies and epoch stamp.
+ *
+ * In both modes, epoch boundaries close a drain fence (an EpochManager
+ * prepare hook) and reopen it only after pending→free promotion, so no
+ * list operation straddles the global flush, and none can read the new
+ * epoch and free an object that the same boundary's promotion would
+ * then hand out in that very epoch.
  *
  * Crash recovery: list heads are rolled back eagerly at attach (a few
  * lines); object headers are repaired lazily when a pop first touches

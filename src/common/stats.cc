@@ -37,6 +37,7 @@ statName(Stat s)
       case Stat::kInCllVal:       return "incll_val_uses";
       case Stat::kLogBytes:       return "log_bytes";
       case Stat::kEpochAdvances:  return "epoch_advances";
+      case Stat::kEpochIdleSkips: return "epoch_idle_skips";
       case Stat::kEpochBoundaryNs: return "epoch_boundary_ns";
       case Stat::kGateWaitNs:     return "gate_wait_ns";
       case Stat::kNodeRecoveries: return "node_recoveries";

@@ -54,6 +54,7 @@ enum class Stat : unsigned {
     kInCllVal,          ///< value InCLL uses
     kLogBytes,          ///< bytes appended to the external log
     kEpochAdvances,     ///< completed epoch boundaries
+    kEpochIdleSkips,    ///< scheduled boundaries elided (epoch unwritten)
     kEpochBoundaryNs,   ///< ns spent under the exclusive gate at boundaries
     kGateWaitNs,        ///< ns workers stalled at the gate behind advances
     kNodeRecoveries,    ///< lazy per-node recoveries executed

@@ -6,7 +6,6 @@
 
 #include <cassert>
 
-#include "common/stats.h"
 #include "nvm/pool.h"
 
 namespace incll {
@@ -61,6 +60,12 @@ EpochManager::advance()
     //    boundary (e.g. the allocator's shared-list drain fence).
     for (auto &hook : prepareHooks_)
         hook();
+    // Writers are out (gate) and the allocator's shared lists are
+    // fenced (prepare hook), so every store of the finishing epoch has
+    // marked it; the flush below persists them. Stores from here on
+    // belong to the next epoch and mark it afresh (the allocator's
+    // promotion hook among them).
+    epochWritten_.store(false, std::memory_order_relaxed);
 
     // 1. Checkpoint: every write of the finishing epoch becomes durable.
     pool_.wbinvdFlushAll();
@@ -82,19 +87,29 @@ EpochManager::advance()
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - boundaryStart)
             .count());
-    // Attribute boundary costs to the owning shard when the store told
-    // us which one this is (statShard_ < 0 for standalone trees).
-    if (statShard_ >= 0) {
-        globalStats().addShard(Stat::kEpochAdvances,
-                               static_cast<unsigned>(statShard_));
-        globalStats().addShard(Stat::kEpochBoundaryNs,
-                               static_cast<unsigned>(statShard_),
-                               boundaryNs);
-    } else {
-        globalStats().add(Stat::kEpochAdvances);
-        globalStats().add(Stat::kEpochBoundaryNs, boundaryNs);
-    }
+    addCounter(Stat::kEpochAdvances);
+    addCounter(Stat::kEpochBoundaryNs, boundaryNs);
     obs::recordNs(obs::Hist::kEpochBoundaryNs, boundaryNs);
+}
+
+bool
+EpochManager::skipIfIdle()
+{
+    if (epochWritten())
+        return false;
+    addCounter(Stat::kEpochIdleSkips);
+    return true;
+}
+
+void
+EpochManager::addCounter(Stat stat, std::uint64_t n)
+{
+    // Attribute boundary counters to the owning shard when the store
+    // told us which one this is (statShard_ < 0 for standalone trees).
+    if (statShard_ >= 0)
+        globalStats().addShard(stat, static_cast<unsigned>(statShard_), n);
+    else
+        globalStats().add(stat, n);
 }
 
 void
@@ -105,6 +120,9 @@ EpochManager::markCrashRecovery()
     persistEpochWord(failedEpoch + 1);
     epochMirror_.store(failedEpoch + 1, std::memory_order_release);
     firstExecEpoch_ = failedEpoch + 1;
+    // Recovery's eager rollback (log images, allocator heads) is plain
+    // cache writes: the first boundary after it must run.
+    noteWrite();
 
     // Epoch numbers are consecutive, and completed epochs are never in
     // the failed set, so walking down from the crash epoch finds the

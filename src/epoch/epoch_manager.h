@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/stats.h"
 #include "epoch/epoch_gate.h"
 #include "epoch/failed_epochs.h"
 
@@ -59,12 +60,56 @@ class EpochManager
     EpochManager(const EpochManager &) = delete;
     EpochManager &operator=(const EpochManager &) = delete;
 
-    /** Current epoch (hot path; reads a transient mirror). */
+    /** Current epoch (hot path; reads a transient mirror). Durable
+     *  writers take their epoch from writeEpoch() instead. */
     std::uint64_t
     currentEpoch() const
     {
         return epochMirror_.load(std::memory_order_acquire);
     }
+
+    /**
+     * The epoch a durable store is made in: marks the current epoch as
+     * written, then returns it. Every durable write path stamps its
+     * epoch through here, so a scheduled boundary can tell an epoch
+     * with something to persist from one without (skipIfIdle()).
+     * Callers hold the gate or an allocator drain pin, so the mark
+     * cannot land between advance()'s clear and its flush.
+     */
+    std::uint64_t
+    writeEpoch()
+    {
+        noteWrite();
+        return currentEpoch();
+    }
+
+    /** Mark the current epoch as written without reading it (lazy node
+     *  recovery stamps firstExecEpoch(), not the current epoch). */
+    void
+    noteWrite()
+    {
+        // Check-then-set: the flag's line is written once per epoch,
+        // not once per store.
+        if (!epochWritten_.load(std::memory_order_relaxed))
+            epochWritten_.store(true, std::memory_order_relaxed);
+    }
+
+    /** True iff the current epoch took a durable store. */
+    bool
+    epochWritten() const
+    {
+        return epochWritten_.load(std::memory_order_relaxed);
+    }
+
+    /**
+     * Elide a scheduled boundary of a clean epoch: when the current
+     * epoch took no durable store, count one skip (`epoch_idle_skips`)
+     * and return true — there is nothing to persist, and skipping only
+     * makes the open epoch longer. Returns false when the boundary
+     * must run. A store racing this check marks the epoch, which the
+     * next scheduled boundary then commits.
+     */
+    bool skipIfIdle();
 
     /** First epoch of the current execution (Listing 4's currExecEpoch). */
     std::uint64_t firstExecEpoch() const { return firstExecEpoch_; }
@@ -104,7 +149,8 @@ class EpochManager
      */
     void registerPrepareHook(std::function<void()> hook);
 
-    /** Perform one epoch advance (checkpoint). Thread-safe. */
+    /** Perform one epoch advance (checkpoint). Thread-safe. Always
+     *  runs, written or not; only skipIfIdle() elides a boundary. */
     void advance();
 
     /**
@@ -116,8 +162,10 @@ class EpochManager
 
     /**
      * Crash-recovery attach: durably mark the interrupted epoch as failed
-     * and move the execution to a fresh epoch. Call exactly once after
-     * re-attaching to a crashed pool, before any structure access.
+     * and move the execution to a fresh epoch, marked written so the
+     * first boundary after recovery flushes the rollback. Call exactly
+     * once after re-attaching to a crashed pool, before any structure
+     * access.
      */
     void markCrashRecovery();
 
@@ -129,12 +177,16 @@ class EpochManager
 
   private:
     void persistEpochWord(std::uint64_t value);
+    void addCounter(Stat stat, std::uint64_t n = 1);
 
     nvm::Pool &pool_;
     std::uint64_t *durableEpoch_;
     FailedEpochSet failed_;
     EpochGate gate_;
     std::atomic<std::uint64_t> epochMirror_;
+    /** Set by the current epoch's first durable store; cleared by
+     *  advance() before its flush. Transient: recovery sets it. */
+    std::atomic<bool> epochWritten_{false};
     std::uint64_t firstExecEpoch_;
     std::uint64_t oldestRelevantFailed_ = 0;
     std::vector<std::function<void(std::uint64_t)>> hooks_;

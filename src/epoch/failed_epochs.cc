@@ -4,8 +4,8 @@
  */
 #include "epoch/failed_epochs.h"
 
-#include <cassert>
-#include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "nvm/pool.h"
 
@@ -21,7 +21,10 @@ FailedEpochSet::FailedEpochSet(nvm::Pool &pool, FailedEpochRecord *record,
         pool_.sfence();
         return;
     }
-    assert(record_->count <= FailedEpochRecord::kCapacity);
+    if (record_->count > FailedEpochRecord::kCapacity)
+        throw std::runtime_error(
+            "failed-epoch record count exceeds its capacity; the pool's "
+            "root area is corrupt");
     for (std::uint64_t i = 0; i < record_->count; ++i) {
         mirror_.insert(record_->epochs[i]);
         mirror32_.insert(static_cast<std::uint32_t>(record_->epochs[i]));
@@ -33,8 +36,13 @@ FailedEpochSet::add(std::uint64_t epoch)
 {
     if (mirror_.contains(epoch))
         return;
-    assert(record_->count < FailedEpochRecord::kCapacity &&
-           "failed-epoch set exhausted; compact before reuse");
+    // Checked in every build: a 385th entry would be written past the
+    // record, into whatever follows it in the root area.
+    if (record_->count >= FailedEpochRecord::kCapacity)
+        throw std::runtime_error(
+            "failed-epoch set exhausted (" +
+            std::to_string(FailedEpochRecord::kCapacity) +
+            " crash recoveries of one pool); compact before reuse");
 
     // Persist the entry before the count so a torn append is invisible.
     nvm::pstore(record_->epochs[record_->count], epoch);

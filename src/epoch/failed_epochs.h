@@ -33,11 +33,13 @@ class FailedEpochSet
   public:
     /**
      * Attach to a durable record. @p fresh zero-initialises it; otherwise
-     * the transient mirror is rebuilt from the durable contents.
+     * the transient mirror is rebuilt from the durable contents. Throws
+     * std::runtime_error when the durable count exceeds the capacity.
      */
     FailedEpochSet(nvm::Pool &pool, FailedEpochRecord *record, bool fresh);
 
-    /** Durably append @p epoch (flush + fence before returning). */
+    /** Durably append @p epoch (flush + fence before returning). Throws
+     *  std::runtime_error, writing nothing, when the record is full. */
     void add(std::uint64_t epoch);
 
     /** True iff @p epoch is a failed epoch. Hot path: transient mirror. */

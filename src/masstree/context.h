@@ -53,7 +53,10 @@ struct DurableContext
         return recoveryLocks[hashPointer(node) % kNumRecoveryLocks];
     }
 
-    std::uint64_t currentEpoch() const { return epochs->currentEpoch(); }
+    /** Epoch stamp for a durable store; marks the epoch written. */
+    std::uint64_t writeEpoch() { return epochs->writeEpoch(); }
+    /** Mark the epoch written (lazy recovery's stores). */
+    void noteWrite() { epochs->noteWrite(); }
     std::uint64_t firstExecEpoch() const { return epochs->firstExecEpoch(); }
     bool isFailed(std::uint64_t e) const { return epochs->isFailed(e); }
 
@@ -62,7 +65,7 @@ struct DurableContext
     void
     logObjectOrDie(const void *addr, std::uint32_t size)
     {
-        if (!log->logObject(addr, size, currentEpoch()))
+        if (!log->logObject(addr, size, writeEpoch()))
             throw std::runtime_error(
                 "external log buffer full; enlarge ExternalLog buffers "
                 "or shorten the epoch interval");

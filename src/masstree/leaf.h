@@ -257,7 +257,7 @@ class Leaf : public LeafLayout<Durable, Width>
         if constexpr (!Durable) {
             (void)ctx, (void)idx;
         } else {
-            const std::uint64_t g = ctx.currentEpoch();
+            const std::uint64_t g = ctx.writeEpoch();
             const int line = idx <= 6 ? 0 : 1;
             if (nodeEpoch() != g) {
                 // First touch this epoch: the old value rides along in
@@ -315,7 +315,7 @@ class Leaf : public LeafLayout<Durable, Width>
         if constexpr (!Durable) {
             (void)ctx;
         } else {
-            const std::uint64_t g = ctx.currentEpoch();
+            const std::uint64_t g = ctx.writeEpoch();
             if (nodeEpoch() == g && isLogged())
                 return;
             logSelfExternal(ctx, g);
@@ -348,7 +348,7 @@ class Leaf : public LeafLayout<Durable, Width>
     touchImpl(Ctx &ctx, bool allowed, ValInCLL vc1, ValInCLL vc2,
               int updateLine)
     {
-        const std::uint64_t g = ctx.currentEpoch();
+        const std::uint64_t g = ctx.writeEpoch();
         const std::uint64_t ne = nodeEpoch();
         if (g != ne) {
             bool logged = false;
@@ -417,6 +417,7 @@ class Leaf : public LeafLayout<Durable, Width>
         const std::uint64_t execEpoch = ctx.firstExecEpoch();
         if (nodeEpoch() >= execEpoch)
             return;
+        ctx.noteWrite();
 
         // InCLLp: roll the permutation back to the epoch's start.
         if (ctx.isFailed(nodeEpoch())) {

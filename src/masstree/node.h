@@ -74,7 +74,7 @@ struct alignas(kCacheLineSize) LayerRoot
     void
     updateDurable(Ctx &ctx, NodeBase *newRoot)
     {
-        const std::uint64_t g = ctx.currentEpoch();
+        const std::uint64_t g = ctx.writeEpoch();
         if (epoch != g) {
             nvm::pstore(rootInCLL, root.load(std::memory_order_relaxed));
             std::atomic_thread_fence(std::memory_order_release);
@@ -100,6 +100,7 @@ struct alignas(kCacheLineSize) LayerRoot
         std::lock_guard<SpinLock> guard(ctx.recoveryLockFor(this));
         if (epoch >= ctx.firstExecEpoch() || epoch == 0)
             return;
+        ctx.noteWrite();
         if (ctx.isFailed(epoch))
             nvm::pstoreRelease(root, rootInCLL);
         nvm::pstore(rootInCLL, root.load(std::memory_order_relaxed));
@@ -198,7 +199,7 @@ class Interior : public NodeBase
         if constexpr (!std::is_same_v<Ctx, DurableContext>) {
             (void)ctx;
         } else {
-            const std::uint64_t g = ctx.currentEpoch();
+            const std::uint64_t g = ctx.writeEpoch();
             if (logEpoch_ != g) {
                 ctx.logObjectOrDie(this, sizeof(Interior));
                 nvm::pstore(logEpoch_, g);
@@ -219,6 +220,7 @@ class Interior : public NodeBase
             std::lock_guard<SpinLock> guard(ctx.recoveryLockFor(this));
             if (recEpoch_ >= ctx.firstExecEpoch())
                 return;
+            ctx.noteWrite();
             version_.initLock(false);
             std::atomic_thread_fence(std::memory_order_release);
             nvm::pstore(recEpoch_, ctx.firstExecEpoch());

@@ -376,7 +376,7 @@ class Tree
         if constexpr (Config::kDurable) {
             // Fresh nodes need no undo this epoch: a rollback simply
             // returns them to the allocator (EBR argument, §5).
-            leaf->setNodeEpochWord(ctx_->currentEpoch(), true, true);
+            leaf->setNodeEpochWord(ctx_->writeEpoch(), true, true);
         }
         nvm::trackStore(leaf, sizeof(LeafT));
         return leaf;
@@ -390,7 +390,7 @@ class Tree
         if constexpr (Config::kDurable) {
             node->setRecEpoch(ctx_->firstExecEpoch());
             // Fresh interior: exempt from external logging this epoch.
-            node->markFreshLogged(ctx_->currentEpoch());
+            node->markFreshLogged(ctx_->writeEpoch());
         }
         nvm::trackStore(node, sizeof(Interior));
         return node;
@@ -406,7 +406,7 @@ class Tree
         if constexpr (Config::kDurable) {
             // Rollback of the creating epoch restores a null root; the
             // record itself is reclaimed by the allocator rollback.
-            lr->epoch = ctx_->currentEpoch();
+            lr->epoch = ctx_->writeEpoch();
         }
         nvm::trackStore(lr, sizeof(LayerRoot));
         return lr;

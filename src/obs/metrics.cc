@@ -15,7 +15,7 @@
 namespace incll::obs {
 
 namespace detail {
-thread_local TlsCache tlsCache;
+thread_local constinit TlsCache tlsCache;
 } // namespace detail
 
 /** One thread's counter storage; 64-byte aligned so no two threads'

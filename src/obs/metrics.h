@@ -274,7 +274,9 @@ struct TlsCache
     std::uint64_t gen = 0; ///< 0 never matches a live registry
     std::atomic<std::uint64_t> *slab = nullptr;
 };
-extern thread_local TlsCache tlsCache;
+// constinit: constant-initialised, so access needs no TLS init wrapper
+// (whose null-object call UBSan reports on a thread's first use).
+extern thread_local constinit TlsCache tlsCache;
 } // namespace detail
 
 INCLL_INLINE std::atomic<std::uint64_t> *

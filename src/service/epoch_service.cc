@@ -75,7 +75,6 @@ EpochService::start()
         ss.deadline = firstDeadline;
         ss.urgent = false;
         ss.inProgress = false;
-        ss.stretch = 1.0;
         ss.bytesAtBoundary.store(logBytes(i), std::memory_order_relaxed);
         ss.debtKicked.store(false, std::memory_order_relaxed);
     }
@@ -152,6 +151,15 @@ EpochService::workerLoop()
                 pickUrgent = true;
                 break;
             }
+            // Idle elision: a due shard whose epoch took no durable
+            // store skips its boundary and re-arms. The skip is never
+            // marked in progress nor counted as an advance: a barrier
+            // adds one to its target for an advance in flight, and must
+            // not end up waiting on a scheduled one that is skipped.
+            if (ss.deadline <= now && store_.skipIdleShardEpoch(i)) {
+                ss.deadline = now + options_.interval;
+                ss.counters.idleSkips += 1;
+            }
             if (now >= eligible && ss.deadline <= now &&
                 (pick < 0 || ss.deadline < shards_[pick]->deadline))
                 pick = static_cast<int>(i);
@@ -188,8 +196,6 @@ EpochService::workerLoop()
         const auto ns = static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(tEnd - t0)
                 .count());
-        const std::uint64_t bytesPrev =
-            ss.bytesAtBoundary.load(std::memory_order_relaxed);
         const std::uint64_t bytesNow =
             logBytes(static_cast<unsigned>(pick));
         if (!pickUrgent && duty < 1.0)
@@ -203,20 +209,7 @@ EpochService::workerLoop()
         ss.counters.advances += 1;
         ss.counters.boundaryNs += ns;
         ss.inProgress = false;
-        // Adaptive idle stretch: a boundary that had nothing to persist
-        // doubles the shard's next interval (bounded); any log growth
-        // snaps it back to the base period. Debt growth cuts a deadline
-        // short regardless, via the throttle hook's urgent kick.
-        if (options_.adaptiveDebtBytes > 0 && options_.maxIdleStretch > 1.0) {
-            if (bytesNow == bytesPrev)
-                ss.stretch =
-                    std::min(ss.stretch * 2.0, options_.maxIdleStretch);
-            else
-                ss.stretch = 1.0;
-        }
-        ss.deadline =
-            tEnd + std::chrono::duration_cast<Clock::duration>(
-                       options_.interval * ss.stretch);
+        ss.deadline = tEnd + options_.interval;
         doneCv_.notify_all();
     }
 }
@@ -403,6 +396,7 @@ EpochService::totalCounters() const
         total.throttleStalls += ss->counters.throttleStalls;
         total.throttleNs += ss->counters.throttleNs;
         total.debtAdvances += ss->counters.debtAdvances;
+        total.idleSkips += ss->counters.idleSkips;
     }
     return total;
 }

@@ -22,6 +22,12 @@
  * staggered, which is exactly what bounded tail latency wants — at most
  * `threads` shards are quiesced at any instant.
  *
+ * Idle elision: a due, non-urgent shard whose open epoch took no
+ * durable store (EpochManager::skipIfIdle) has nothing to persist, so
+ * its scheduled boundary is skipped — no quiesce, no flush, no epoch
+ * bump — and its deadline re-armed. Urgent advances (barriers, the debt
+ * kick, backpressure) always run.
+ *
  * Backpressure: an async advance can fall behind a write-heavy shard,
  * and the external log is the resource that runs out (it is logically
  * truncated only at a boundary). When a shard's log has grown more than
@@ -79,17 +85,6 @@ class EpochService
          */
         std::uint64_t adaptiveDebtBytes = 0;
         /**
-         * Adaptive idle stretch: when a *scheduled* advance finds the
-         * shard took no log writes since its previous boundary, the
-         * next deadline stretches (doubling per idle boundary) up to
-         * interval × this factor; any log growth snaps the shard back
-         * to the base interval. Idle shards then stop paying periodic
-         * quiesce+flush cycles they have nothing to persist for. 1.0
-         * disables stretching; only meaningful with adaptiveDebtBytes
-         * set, which restores promptness the moment writes return.
-         */
-        double maxIdleStretch = 8.0;
-        /**
          * Period of the obs delta sampler: every sampleInterval one
          * service thread snapshots the global counter registry into the
          * sampler's ring (obs::globalSampler()), so the kStats JSON
@@ -123,6 +118,7 @@ class EpochService
         std::uint64_t throttleStalls = 0; ///< writers blocked by backpressure
         std::uint64_t throttleNs = 0;   ///< total writer stall time
         std::uint64_t debtAdvances = 0; ///< adaptive debt-driven requests
+        std::uint64_t idleSkips = 0;    ///< scheduled boundaries elided
     };
 
     /**
@@ -210,8 +206,6 @@ class EpochService
         Clock::time_point deadline{};
         bool urgent = false;
         bool inProgress = false;
-        /** Current idle-stretch multiplier on the re-arm interval. */
-        double stretch = 1.0;
         /** log().bytesAppended() at the last boundary (throttle fast path). */
         std::atomic<std::uint64_t> bytesAtBoundary{0};
         /** One adaptive debt kick per debt episode (cleared at the next

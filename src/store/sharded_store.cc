@@ -251,6 +251,14 @@ ShardedStore::shardLogBytes(unsigned pos) const
     return t.shards[pos]->tree().log().bytesAppended();
 }
 
+bool
+ShardedStore::skipIdleShardEpoch(unsigned pos)
+{
+    TopoGuard pin(*this);
+    const Topology &t = pin.topo();
+    return pos < t.count() && t.shards[pos]->tree().epochs().skipIfIdle();
+}
+
 void
 ShardedStore::startTimer(std::chrono::milliseconds interval)
 {

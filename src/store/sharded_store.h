@@ -939,6 +939,14 @@ class ShardedStore
     std::uint64_t shardLogBytes(unsigned pos) const;
 
     /**
+     * Elide the scheduled boundary of the member at @p pos when its
+     * open epoch took no durable store (EpochManager::skipIfIdle):
+     * true when skipped, false when the boundary must run or @p pos is
+     * out of range (see advanceShardEpoch).
+     */
+    bool skipIdleShardEpoch(unsigned pos);
+
+    /**
      * Start per-shard epoch timers on the current members. Each shard
      * advances on its own thread with no cross-shard barrier; starts
      * are naturally staggered by construction order. Pair with

@@ -79,8 +79,9 @@ ShardedStore::commitTopologyRecord(const Topology &next,
     rec.nextPoolId = next.nextPoolId;
     rec.affectedPoolId = affectedPoolId;
     rec.affectedLowerLen = static_cast<std::uint32_t>(affectedLower.size());
-    std::memcpy(rec.affectedLower, affectedLower.data(),
-                affectedLower.size());
+    if (!affectedLower.empty()) // an empty view's data() may be null
+        std::memcpy(rec.affectedLower, affectedLower.data(),
+                    affectedLower.size());
     for (unsigned i = 0; i < next.count(); ++i)
         rec.memberIds[i] = next.shards[i]->poolId();
     // Every pool of the NEW member set carries the record: the first

@@ -2,17 +2,19 @@
  * @file
  * Multithreaded allocator stress: 8 workers hammer alloc/free and the
  * batched allocMany/freeMany across two size classes while an advancer
- * thread drives epoch boundaries through the workload. Checks the
- * exactly-once hand-out property under contention (the global live set
- * never sees a duplicate) in both allocator modes. TSan-clean by
- * design — every cross-thread access on the lock-free path is an
- * atomic or happens-before'd by the drain fence — so the suite is also
- * registered under the tsan label (ctest -L tsan).
+ * thread drives epoch boundaries through the workload. Checks, in both
+ * allocator modes, the exactly-once hand-out property under contention
+ * (the global live set never sees a duplicate) and the EBR rule (an
+ * object freed in epoch e is handed out again only in a later epoch).
+ * TSan-clean by design — every cross-thread access on the lock-free
+ * path is an atomic or happens-before'd by the drain fence — so the
+ * suite is also registered under the tsan label (ctest -L tsan).
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -46,12 +48,31 @@ TEST_P(AllocStress, MixedChurnManyThreads)
     constexpr std::size_t kSizes[2] = {48, 1024};
 
     // Global live set: every handed-out object is inserted (insertion
-    // must succeed — a duplicate is a double hand-out) and erased when
-    // freed. Guarded by a mutex, touched once per batch to keep the
-    // stress on the allocator rather than the bookkeeping.
+    // must succeed — a duplicate is a double hand-out) and erased just
+    // before it is freed: once freed, the next boundary may promote it
+    // and another thread may be handed it. freedIn keeps the epoch read
+    // just before each free; an object handed out again must come back
+    // in a later epoch than that (the allocator's EBR rule), checked
+    // against an epoch read after the allocation returned — the free's
+    // real epoch is at least the first read and the allocation's at
+    // most the second, so the check cannot fire falsely. Guarded by a
+    // mutex, touched once per batch to keep the stress on the
+    // allocator rather than the bookkeeping.
     std::mutex mu;
     std::set<void *> live;
+    std::map<void *, std::uint64_t> freedIn;
     std::atomic<bool> stop{false};
+
+    // Take @p ps out of the live set and stamp their free epoch; the
+    // caller frees them after this returns.
+    auto retire = [&](void *const *ps, std::size_t n) {
+        std::lock_guard<std::mutex> g(mu);
+        const std::uint64_t epoch = epochs.currentEpoch();
+        for (std::size_t j = 0; j < n; ++j) {
+            live.erase(ps[j]);
+            freedIn[ps[j]] = epoch;
+        }
+    };
 
     std::thread advancer([&] {
         while (!stop.load(std::memory_order_relaxed)) {
@@ -82,10 +103,19 @@ TEST_P(AllocStress, MixedChurnManyThreads)
                         p = alloc.alloc(bytes);
                 }
                 {
+                    const std::uint64_t allocEpoch = epochs.currentEpoch();
                     std::lock_guard<std::mutex> g(mu);
-                    for (void *p : batch)
+                    for (void *p : batch) {
                         ASSERT_TRUE(live.insert(p).second)
                             << "double hand-out of " << p;
+                        const auto it = freedIn.find(p);
+                        if (it == freedIn.end())
+                            continue;
+                        ASSERT_GT(allocEpoch, it->second)
+                            << p << " handed out again in the epoch it "
+                            << "was freed in";
+                        freedIn.erase(it);
+                    }
                 }
                 for (void *p : batch) {
                     mine.push_back(p);
@@ -102,21 +132,17 @@ TEST_P(AllocStress, MixedChurnManyThreads)
                         mine.pop_back();
                         sz.pop_back();
                     }
+                    retire(fb, n);
                     if (n > 1)
                         alloc.freeMany(fb, n, want);
                     else
                         alloc.free(fb[0], want);
-                    std::lock_guard<std::mutex> g(mu);
-                    for (std::size_t j = 0; j < n; ++j)
-                        live.erase(fb[j]);
                 }
             }
             // Drop the remainder so the final accounting is empty.
+            retire(mine.data(), mine.size());
             for (std::size_t j = 0; j < mine.size(); ++j)
                 alloc.free(mine[j], sz[j]);
-            std::lock_guard<std::mutex> g(mu);
-            for (void *p : mine)
-                live.erase(p);
         });
     }
     for (auto &w : workers)

@@ -4,8 +4,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <stdexcept>
 #include <thread>
 
 #include "common/barrier.h"
@@ -110,6 +113,70 @@ TEST_F(EpochFixture, MultipleFailedEpochs)
     EXPECT_TRUE(mgr.isFailed(3));
     EXPECT_EQ(mgr.currentEpoch(), 4u);
     EXPECT_EQ(mgr.failedSet().size(), 3u);
+}
+
+TEST_F(EpochFixture, FullFailedSetThrowsAndWritesNothingPastTheRecord)
+{
+    FailedEpochSet set(*pool, failedRec, true);
+    for (std::uint64_t e = 1; e <= FailedEpochRecord::kCapacity; ++e)
+        set.add(e);
+    ASSERT_EQ(set.size(), FailedEpochRecord::kCapacity);
+
+    // Whatever follows the record in the root area must be untouched
+    // by the overflowing append.
+    auto *after = reinterpret_cast<unsigned char *>(failedRec + 1);
+    ASSERT_LE(after + 64, static_cast<unsigned char *>(pool->rootArea()) +
+                              nvm::Pool::kRootAreaSize);
+    std::array<unsigned char, 64> guard;
+    guard.fill(0xa5);
+    std::memcpy(after, guard.data(), guard.size());
+    const std::uint64_t next = FailedEpochRecord::kCapacity + 1;
+    EXPECT_THROW(set.add(next), std::runtime_error);
+    EXPECT_EQ(std::memcmp(after, guard.data(), guard.size()), 0);
+    EXPECT_EQ(set.size(), FailedEpochRecord::kCapacity);
+    EXPECT_FALSE(set.isFailed(next));
+}
+
+TEST_F(EpochFixture, AttachRejectsFailedCountAboveCapacity)
+{
+    {
+        FailedEpochSet fresh(*pool, failedRec, true);
+    }
+    nvm::pstore(failedRec->count,
+                std::uint64_t{FailedEpochRecord::kCapacity + 1});
+    EXPECT_THROW(FailedEpochSet(*pool, failedRec, false),
+                 std::runtime_error);
+}
+
+TEST_F(EpochFixture, WritesMarkTheEpochAndAdvanceClearsIt)
+{
+    {
+        EpochManager mgr(*pool, epochWord, failedRec, true);
+        EXPECT_FALSE(mgr.epochWritten());
+        EXPECT_EQ(mgr.writeEpoch(), mgr.currentEpoch());
+        EXPECT_TRUE(mgr.epochWritten());
+        EXPECT_FALSE(mgr.skipIfIdle()) << "a written epoch must not skip";
+        mgr.advance();
+        EXPECT_FALSE(mgr.epochWritten());
+        const auto skips = globalStats().get(Stat::kEpochIdleSkips);
+        EXPECT_TRUE(mgr.skipIfIdle());
+        EXPECT_EQ(globalStats().get(Stat::kEpochIdleSkips), skips + 1);
+        EXPECT_EQ(mgr.currentEpoch(), 2u)
+            << "a skip must not bump the epoch";
+        mgr.noteWrite();
+        EXPECT_TRUE(mgr.epochWritten());
+
+        // A store made by an advance hook belongs to the new epoch.
+        mgr.registerAdvanceHook(
+            [&mgr](std::uint64_t) { mgr.noteWrite(); });
+        mgr.advance();
+        EXPECT_TRUE(mgr.epochWritten());
+    }
+    // Recovery marks its first epoch, so the first boundary runs.
+    EpochManager recovered(*pool, epochWord, failedRec, false);
+    EXPECT_FALSE(recovered.epochWritten());
+    recovered.markCrashRecovery();
+    EXPECT_TRUE(recovered.epochWritten());
 }
 
 TEST_F(EpochFixture, TimerAdvances)

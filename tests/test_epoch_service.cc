@@ -3,8 +3,11 @@
  * EpochService tests (tier1): async per-shard advance scheduling,
  * urgent advances and the advanceAllAndWait barrier, write
  * backpressure, the batched multiGet/multiPut front-end, the
- * gate-held-across-scan value-lifetime guarantee, and crash recovery
- * when the crash lands during an asynchronous boundary.
+ * gate-held-across-scan value-lifetime guarantee, crash recovery
+ * when the crash lands during an asynchronous boundary, and idle-shard
+ * elision: every durable write marks its epoch, and a shard whose
+ * epoch was never marked skips its scheduled boundary without losing
+ * a write.
  */
 #include <gtest/gtest.h>
 
@@ -18,6 +21,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "nvm/pool.h"
 #include "service/epoch_service.h"
 #include "store/sharded_store.h"
 #include "store/value_util.h"
@@ -554,6 +558,240 @@ TEST(ServiceCrash, ChurnUnderServiceThenCrashRecovers)
     // A boundary ran after the writers finished, so at least part of
     // the churn must have committed.
     EXPECT_GT(churnSeen, 0u);
+}
+
+TEST(WriteMarks, EveryDurableWriteMarksItsEpoch)
+{
+    // The elision's correctness burden: after a committed boundary, each
+    // kind of durable write on its own must mark the epoch, or the
+    // service would skip a boundary that has something to persist.
+    constexpr std::size_t kValueBytes = 32;
+    auto st = std::make_unique<ShardedStore>(trackedOptions(1, 61));
+    auto epochs = [&]() -> EpochManager & {
+        return st->shard(0).tree().epochs();
+    };
+    auto stat = [](Stat s) { return globalStats().get(s); };
+
+    // Committed base: one full leaf of 14 keys, one of them with a
+    // suffix to grow a layer under, and a value buffer to free later.
+    for (std::uint64_t k = 100; k < 113; ++k)
+        st->put(mt::u64Key(k), tag(k));
+    const std::string layerKey = mt::u64Key(500) + "-long-a";
+    st->put(layerKey, tag(500));
+    void *spare = st->shard(0).tree().allocValue(kValueBytes);
+    st->advanceEpoch();
+
+    // Two boundaries: the second commits whatever the first promoted
+    // (a write's frees mark the epoch their promotion runs in).
+    auto expectMarks = [&](const char *what, auto &&write) {
+        st->advanceEpoch();
+        st->advanceEpoch();
+        ASSERT_FALSE(epochs().epochWritten()) << "before " << what;
+        write();
+        EXPECT_TRUE(epochs().epochWritten())
+            << what << " did not mark its epoch";
+    };
+
+    // A read-only mix leaves the epoch clean and writes no line.
+    st->advanceEpoch();
+    const std::uint64_t dirtyBefore = st->shard(0).pool().dirtyLineCount();
+    void *out = nullptr;
+    EXPECT_TRUE(st->get(mt::u64Key(105), out));
+    EXPECT_FALSE(st->get(mt::u64Key(9999), out));
+    EXPECT_EQ(st->scan({}, SIZE_MAX, [](std::string_view, void *) {}),
+              14u);
+    const std::string k1 = mt::u64Key(101), k2 = mt::u64Key(7777);
+    const std::string_view getKeys[] = {k1, k2};
+    void *got[2] = {};
+    EXPECT_EQ(st->multiGet(getKeys, got), 1u);
+    EXPECT_FALSE(epochs().epochWritten()) << "a read marked the epoch";
+    EXPECT_EQ(st->shard(0).pool().dirtyLineCount(), dirtyBefore)
+        << "a read wrote a durable line";
+
+    expectMarks("update absorbed by an InCLL", [&] {
+        const auto logged = stat(Stat::kNodesLogged);
+        const auto inCll = stat(Stat::kInCllVal);
+        st->put(mt::u64Key(100), tag(1100));
+        EXPECT_EQ(stat(Stat::kNodesLogged), logged);
+        EXPECT_GT(stat(Stat::kInCllVal), inCll);
+    });
+    expectMarks("updates spilling to the external log", [&] {
+        // Three distinct slots: two share a value line, so one update
+        // finds its line's InCLL taken and logs the node.
+        const auto logged = stat(Stat::kNodesLogged);
+        for (std::uint64_t k = 101; k <= 103; ++k)
+            st->put(mt::u64Key(k), tag(k + 1000));
+        EXPECT_GT(stat(Stat::kNodesLogged), logged);
+    });
+    // The spill above follows its epoch's first update, which already
+    // marked it; the external-log append it makes marks on its own too.
+    expectMarks("an external-log append", [&] {
+        auto &tree = st->shard(0).tree();
+        tree.context().logObjectOrDie(&tree.root().layer0,
+                                      sizeof(mt::LayerRoot));
+    });
+    expectMarks("a remove", [&] { st->remove(mt::u64Key(112)); });
+    expectMarks("an insert", [&] { st->put(mt::u64Key(120), tag(120)); });
+    expectMarks("a split", [&] {
+        // The insert refilled the leaf; one more key splits it, logging
+        // the leaf for the complex operation.
+        const auto logged = stat(Stat::kNodesLogged);
+        st->put(mt::u64Key(121), tag(121));
+        EXPECT_GT(stat(Stat::kNodesLogged), logged);
+    });
+    expectMarks("a long-key layer creation", [&] {
+        st->put(mt::u64Key(500) + "-long-b", tag(501));
+        void *v = nullptr;
+        EXPECT_TRUE(st->get(layerKey, v));
+        EXPECT_EQ(v, tag(500));
+    });
+    expectMarks("a freeValue", [&] {
+        st->shard(0).tree().freeValue(spare, kValueBytes);
+    });
+    // The boundary that commits the free promotes it and marks the new
+    // epoch, so the promotion itself is committed by the next one.
+    st->advanceEpoch();
+    EXPECT_TRUE(epochs().epochWritten()) << "promotion did not mark";
+    st->advanceEpoch();
+    EXPECT_FALSE(epochs().epochWritten());
+
+    // Recovery marks the first epoch after a crash, and lazy node
+    // recovery marks the epoch it runs in.
+    auto pools = st->releasePools();
+    st.reset();
+    pools[0]->crash();
+    st = std::make_unique<ShardedStore>(
+        std::move(pools), store::kRecover,
+        store::StoreConfig{.logBuffers = 4, .logBufferBytes = 1u << 20});
+    EXPECT_TRUE(epochs().epochWritten()) << "recovery did not mark";
+    expectMarks("lazy recovery after a crash", [&] {
+        const auto recovered = stat(Stat::kNodeRecoveries);
+        void *v = nullptr;
+        EXPECT_TRUE(st->get(mt::u64Key(105), v));
+        EXPECT_EQ(v, tag(105));
+        EXPECT_GT(stat(Stat::kNodeRecoveries), recovered);
+    });
+}
+
+TEST(IdleElision, WrittenShardAdvancesIdleShardsSkipCrashKeepsCommits)
+{
+    // Four range shards; only one is written while the service runs.
+    // The written shard must take real boundaries that commit its
+    // writes; the idle ones must only skip. A crash with no flush
+    // first then loses nothing committed anywhere.
+    constexpr unsigned kShards = 4;
+    constexpr unsigned kWritten = 2;
+    constexpr std::size_t kValueBytes = 32;
+    ShardedStore::Options o = trackedOptions(kShards, 907);
+    o.config.placement = store::PlacementKind::kRange;
+    auto st = std::make_unique<ShardedStore>(o);
+    for (unsigned s = 0; s < kShards; ++s)
+        st->shard(s).pool().setEvictionRate(0.0);
+
+    // Even u64 range boundaries: the top two key bits pick the shard.
+    auto keyOf = [](unsigned s, std::uint64_t i) {
+        return mt::u64Key((std::uint64_t{s} << 62) | i);
+    };
+    std::map<std::string, std::uint64_t> model;
+    auto install = [&](const std::string &k, std::uint64_t payload) {
+        store::installValue(*st, k, &payload, sizeof(payload),
+                            kValueBytes);
+        model[k] = payload;
+    };
+    for (unsigned s = 0; s < kShards; ++s) {
+        for (std::uint64_t i = 0; i < 300; ++i) {
+            ASSERT_EQ(st->shardOf(keyOf(s, i)), s);
+            install(keyOf(s, i), s * 1000 + i);
+        }
+    }
+    // A buffer filled and committed now, so that the put below is a
+    // pure tree write: no allocator call marks its epoch.
+    const std::string hot = keyOf(kWritten, 7);
+    void *spare = st->allocValueFor(hot, kValueBytes);
+    const std::uint64_t sparePayload = 424242;
+    nvm::pmemcpy(spare, &sparePayload, sizeof(sparePayload));
+    st->advanceEpoch();
+
+    EpochService::Options so;
+    so.threads = 1;
+    so.interval = std::chrono::milliseconds(2);
+    auto svc = std::make_unique<EpochService>(*st, so);
+    svc->start();
+
+    auto waitFor = [&](auto &&done) {
+        const auto giveUp =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (!done() && std::chrono::steady_clock::now() < giveUp)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        return done();
+    };
+
+    // 1. The pure tree write, then a boundary of its shard past it,
+    //    while every other shard only skipped.
+    void *old = nullptr;
+    EXPECT_FALSE(st->put(hot, spare, &old));
+    model[hot] = sparePayload;
+    ASSERT_TRUE(waitFor([&] {
+        if (svc->counters(kWritten).advances < 1)
+            return false;
+        for (unsigned s = 0; s < kShards; ++s)
+            if (s != kWritten && svc->counters(s).idleSkips < 1)
+                return false;
+        return true;
+    })) << "the written shard never advanced, or an idle one never "
+           "skipped";
+    auto expectIdleNeverAdvanced = [&] {
+        for (unsigned s = 0; s < kShards; ++s) {
+            if (s != kWritten) {
+                EXPECT_EQ(svc->counters(s).advances, 0u)
+                    << "idle shard " << s;
+            }
+        }
+    };
+    expectIdleNeverAdvanced();
+
+    // 2. More write kinds on the same shard: a fresh insert, an update,
+    //    a remove and the replaced buffer's free. A boundary in flight
+    //    now may have cleared the flag before these writes, so wait for
+    //    two more: the second is certain, since the first promotes the
+    //    free and so marks its new epoch.
+    const std::uint64_t before = svc->counters(kWritten).advances;
+    install(keyOf(kWritten, 5000), 5000);
+    install(keyOf(kWritten, 8), 8008);
+    void *removed = nullptr;
+    EXPECT_TRUE(st->remove(keyOf(kWritten, 9), &removed));
+    model.erase(keyOf(kWritten, 9));
+    st->freeValueFor(keyOf(kWritten, 9), removed, kValueBytes);
+    st->freeValueFor(hot, old, kValueBytes);
+    ASSERT_TRUE(waitFor(
+        [&] { return svc->counters(kWritten).advances >= before + 2; }));
+    svc->stop();
+    expectIdleNeverAdvanced();
+    svc.reset(); // it unhooks itself from the store, so it goes first
+    EXPECT_GT(globalStats().get(Stat::kEpochIdleSkips), 0u);
+
+    // 3. An uncommitted write on an idle shard, then power off with no
+    //    flush: it is rolled back, the skipped boundaries lose nothing.
+    std::uint64_t lost = 99;
+    store::installValue(*st, keyOf(0, 3), &lost, sizeof(lost), kValueBytes);
+    auto pools = st->releasePools();
+    st.reset();
+    for (auto &pool : pools)
+        pool->crash(0.0);
+    st = std::make_unique<ShardedStore>(
+        std::move(pools), store::kRecover,
+        store::StoreConfig{.logBuffers = 4, .logBufferBytes = 1u << 20});
+
+    // 4. Every key of every shard against the oracle.
+    for (const auto &[k, payload] : model) {
+        void *v = nullptr;
+        ASSERT_TRUE(st->get(k, v)) << "lost key of shard " << st->shardOf(k);
+        std::uint64_t got;
+        std::memcpy(&got, v, sizeof(got));
+        EXPECT_EQ(got, payload) << "shard " << st->shardOf(k);
+    }
+    EXPECT_EQ(st->scan({}, SIZE_MAX, [](std::string_view, void *) {}),
+              model.size());
 }
 
 } // namespace

@@ -25,6 +25,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <future>
@@ -1041,13 +1042,30 @@ TEST(ServerProtocol, SlowOpPhasesEndAtTheBatchWrite)
     c.roundTrip(Op::kPut, key(1), valueFor(1), 7001);
     c.roundTrip(Op::kGet, key(1), {}, 7002);
     c.roundTrip(Op::kRemove, key(1), {}, 7003);
-    c.sendReq(Op::kStats, {}, {}, 7004);
-    Resp r;
-    ASSERT_TRUE(c.recvResp(r));
-    ASSERT_EQ(r.status(), Status::kOk);
 
+    // A batch records its slow-op entries just after its socket write
+    // (so the flush phase covers the write), and the other executor can
+    // serve a kStats in between: probe until all three have landed.
     const std::pair<std::uint64_t, const char *> traced[] = {
         {7001, "put"}, {7002, "get"}, {7003, "remove"}};
+    auto allTraced = [&](const std::string &body) {
+        for (const auto &entry : traced)
+            if (body.find("\"seq\": " + std::to_string(entry.first) +
+                          ",") == std::string::npos)
+                return false;
+        return true;
+    };
+    Resp r;
+    std::uint64_t statsSeq = 7004;
+    const auto giveUp =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    do {
+        c.sendReq(Op::kStats, {}, {}, statsSeq++);
+        ASSERT_TRUE(c.recvResp(r));
+        ASSERT_EQ(r.status(), Status::kOk);
+    } while (!allTraced(r.payload) &&
+             std::chrono::steady_clock::now() < giveUp);
+
     for (const auto &[seq, op] : traced) {
         const std::size_t at =
             r.payload.find("\"seq\": " + std::to_string(seq) + ",");
