@@ -3,11 +3,12 @@
  * Durable allocator implementation.
  *
  * Two modes share one durable format (see the header): the original
- * spin-locked lists, and the lock-free fast path (per-thread caches +
- * version-guarded segment CASes on the shared lists). Lock-free-mode
- * stores to durable words go through small atomic wrappers (storeW /
- * loadW) so optimistic list walks are data-race-free; the locked mode
- * keeps plain nvm::pstore where the lock already orders everything.
+ * spin-locked lists, and the lock-free fast path (per-thread caches and
+ * staged frees + version-guarded segment CASes on the shared lists).
+ * Lock-free-mode stores to durable words go through small atomic
+ * wrappers (storeW / loadW) so optimistic list walks are data-race-free;
+ * the locked mode keeps plain nvm::pstore where the lock already orders
+ * everything.
  */
 #include "alloc/durable_alloc.h"
 
@@ -238,7 +239,7 @@ DurableAllocator::logStateOf(const HeadRecord &rec)
 }
 
 DurableAllocator::ThreadCache &
-DurableAllocator::cacheOf(std::uint32_t threadSlot, std::uint32_t slot)
+DurableAllocator::cacheOf(std::uint32_t threadSlot, std::uint32_t slot) const
 {
     return caches_[std::size_t{threadSlot} * kNumSlots + slot];
 }
@@ -292,9 +293,11 @@ DurableAllocator::arenaOfThisThread()
         a = static_cast<std::uint8_t>(
             nextArena_.fetch_add(1, std::memory_order_relaxed) %
             numArenas_);
+        // seq_cst: the binding must precede this slot's first fence
+        // check in the order drainClose reads bindings in.
         std::uint8_t expect = 0xff;
         if (!arenaOfSlot_[ts].compare_exchange_strong(
-                expect, a, std::memory_order_acq_rel))
+                expect, a, std::memory_order_seq_cst))
             a = expect; // another thread sharing the slot won; follow it
     }
     return a;
@@ -567,26 +570,75 @@ DurableAllocator::promotePendingLocked()
 // Lock-free mode.
 // ---------------------------------------------------------------------
 
+/**
+ * Holds a thread cache's busy flag for a scope. With @p fenceOpen the
+ * flag is kept only while the drain fence is open, and a closed fence
+ * is waited out with the flag released: the prepare hook spins on every
+ * flag after it closes the fence. A flag so held works as a drain pin —
+ * the boundary cannot pass its prepare hook, let alone flush, until the
+ * flag is released — so list operations under it land in the open
+ * epoch.
+ */
+class DurableAllocator::CacheLock
+{
+  public:
+    CacheLock(DurableAllocator &a, ThreadCache &c, bool fenceOpen) : c_(c)
+    {
+        Backoff backoff;
+        for (;;) {
+            if (!c.busy.test_and_set(std::memory_order_acquire)) {
+                // seq_cst: orders against drainClose's store of the
+                // fence and its reads of arenaOfSlot_ (see there).
+                if (!fenceOpen || INCLL_LIKELY(!a.drainClosed_.load(
+                                      std::memory_order_seq_cst)))
+                    return;
+                c.busy.clear(std::memory_order_release);
+            }
+            backoff.pause();
+        }
+    }
+
+    ~CacheLock() { c_.busy.clear(std::memory_order_release); }
+
+    CacheLock(const CacheLock &) = delete;
+    CacheLock &operator=(const CacheLock &) = delete;
+
+  private:
+    ThreadCache &c_;
+};
+
 std::size_t
 DurableAllocator::cacheTake(std::uint32_t slot, void **out, std::size_t n)
 {
     ThreadCache &c = cacheOf(threadSlotOfThisThread(), slot);
     if (INCLL_UNLIKELY(c.busy.test_and_set(std::memory_order_acquire))) {
-        // Another thread sharing this cache slot holds it; fall through
-        // to the shared list rather than wait.
+        // Another thread sharing this cache slot, or the boundary's
+        // prepare hook, holds it; fall through to the shared list
+        // rather than wait.
         globalStats().add(Stat::kAllocLockPath);
         return 0;
     }
     std::size_t k = 0;
     while (k < n && c.count > 0)
         out[k++] = c.objs[--c.count];
+    if (k > 0 && c.ahead != nullptr) {
+        // Step the lookahead: read the header prefetched by the last
+        // hit, prefetch its successor. By the next refill the walk's
+        // headers are in cache. The raw word may be stale or lead off
+        // the list by now (it is always an in-pool header or null):
+        // nothing is handed out from it.
+        const auto *o = static_cast<const ObjectHeader *>(c.ahead);
+        c.ahead = PackedWord::pointer(
+            loadW(o->next, std::memory_order_relaxed));
+        __builtin_prefetch(c.ahead);
+    }
     c.busy.clear(std::memory_order_release);
     return k;
 }
 
 void
 DurableAllocator::cachePut(std::uint32_t arena, std::uint32_t slot,
-                           void **objs, std::size_t n)
+                           void **objs, std::size_t n, void *ahead)
 {
     // Called under a drain pin. Surplus beyond capacity (possible only
     // when another thread refilled a shared cache slot first) spills
@@ -596,24 +648,17 @@ DurableAllocator::cachePut(std::uint32_t arena, std::uint32_t slot,
     if (!c.busy.test_and_set(std::memory_order_acquire)) {
         while (c.count < kCacheTarget && taken < n)
             c.objs[c.count++] = objs[taken++];
+        c.ahead = ahead;
         c.busy.clear(std::memory_order_release);
     }
-    if (taken == n)
-        return;
-    HeadRecord &fr = headOf(arena, slot, kFree);
-    ensureLoggedShared(fr, epochs_.writeEpoch());
-    for (std::size_t i = taken; i + 1 < n; ++i)
-        writeObjectNext(static_cast<ObjectHeader *>(objs[i]),
-                        objs[i + 1]);
-    pushChain(fr, static_cast<ObjectHeader *>(objs[taken]),
-              static_cast<ObjectHeader *>(objs[n - 1]),
-              /*pendingTail=*/false);
-    globalStats().add(Stat::kAllocSpills);
+    if (taken < n)
+        pushObjects(arena, slot, kFree, objs + taken, n - taken);
 }
 
 std::size_t
 DurableAllocator::popSegment(HeadRecord &rec, std::uint64_t epoch,
-                             std::size_t maxN, void **out)
+                             void **out, std::size_t nOut, void **spare,
+                             std::size_t nSpare, void *&cut)
 {
     for (;;) {
         const std::uint64_t v = loadW(rec.version);
@@ -621,28 +666,31 @@ DurableAllocator::popSegment(HeadRecord &rec, std::uint64_t epoch,
         if (h == 0)
             return 0;
         ensureLoggedShared(rec, epoch);
-        // Optimistic read-only walk: collect up to maxN nodes. The list
-        // may mutate under us, making this chain garbage — but packed
-        // words only ever hold in-pool pointers, so the walk cannot
-        // fault, and the CAS below rejects the result unless
-        // {head, version} are exactly as first read (the version word
-        // rules out ABA). Pops write no object headers, which is what
-        // keeps a popped segment crash-recoverable: rolling the head
-        // record back to its InCLL copy restores the whole list.
+        // Optimistic read-only walk: collect up to nOut nodes into out,
+        // then up to nSpare more into spare. The list may mutate under
+        // us, making this chain garbage — but packed words only ever
+        // hold in-pool pointers, so the walk cannot fault, and the CAS
+        // below rejects the result unless {head, version} are exactly
+        // as first read (the version word rules out ABA). Pops write no
+        // object headers, which is what keeps a popped segment
+        // crash-recoverable: rolling the head record back to its InCLL
+        // copy restores the whole list.
         std::size_t n = 0;
         auto *o = reinterpret_cast<ObjectHeader *>(h);
-        void *cut = nullptr;
-        while (n < maxN && o != nullptr) {
-            out[n++] = o;
-            cut = resolveNext(o);
-            o = static_cast<ObjectHeader *>(cut);
+        void *next = nullptr;
+        while (n < nOut + nSpare && o != nullptr) {
+            (n < nOut ? out[n] : spare[n - nOut]) = o;
+            ++n;
+            next = resolveNext(o);
+            o = static_cast<ObjectHeader *>(next);
         }
         HeadPair expected{h, v};
-        const HeadPair desired{reinterpret_cast<std::uint64_t>(cut),
+        const HeadPair desired{reinterpret_cast<std::uint64_t>(next),
                                v + 1};
         if (dwcasHead(&rec.head, expected, desired)) {
             maybePhase(Phase::kPopCas);
             globalStats().add(Stat::kAllocRefills);
+            cut = next;
             return n;
         }
         globalStats().add(Stat::kAllocCasRetries);
@@ -678,6 +726,23 @@ DurableAllocator::pushChain(HeadRecord &rec, ObjectHeader *chainHead,
         }
         globalStats().add(Stat::kAllocCasRetries);
     }
+}
+
+void
+DurableAllocator::pushObjects(std::uint32_t arena, std::uint32_t slot,
+                              ListKind kind, void *const *objs,
+                              std::size_t n)
+{
+    // Caller holds a drain pin or a cache flag taken with the fence
+    // open. Link the objects into one private chain, then publish it
+    // with a single CAS: N objects cost O(1) shared-list operations.
+    HeadRecord &rec = headOf(arena, slot, kind);
+    ensureLoggedShared(rec, epochs_.writeEpoch());
+    for (std::size_t i = 0; i + 1 < n; ++i)
+        writeObjectNext(static_cast<ObjectHeader *>(objs[i]), objs[i + 1]);
+    pushChain(rec, static_cast<ObjectHeader *>(objs[0]),
+              static_cast<ObjectHeader *>(objs[n - 1]), kind == kPending);
+    globalStats().add(Stat::kAllocSpills);
 }
 
 void
@@ -727,71 +792,35 @@ DurableAllocator::carveSlab(std::uint32_t arena, std::uint32_t slot,
     maybePhase(Phase::kCarvePublished);
 }
 
-void *
-DurableAllocator::allocSlotLF(std::uint32_t slot)
-{
-    void *h = nullptr;
-    if (INCLL_LIKELY(cacheTake(slot, &h, 1) == 1)) {
-        globalStats().add(Stat::kAllocFastPathHits);
-        globalStats().add(Stat::kAllocs);
-        return static_cast<char *>(h) + kHeaderSize;
-    }
-    const std::uint32_t arena = arenaOfThisThread();
-    DrainPin pin(*this);
-    const std::uint64_t epoch = epochs_.writeEpoch();
-    HeadRecord &fr = headOf(arena, slot, kFree);
-    void *seg[kCacheTarget + 1];
-    for (;;) {
-        const std::size_t k =
-            popSegment(fr, epoch, kCacheTarget + 1, seg);
-        if (k > 0) {
-            if (k > 1)
-                cachePut(arena, slot, seg + 1, k - 1);
-            globalStats().add(Stat::kAllocs);
-            return static_cast<char *>(seg[0]) + kHeaderSize;
-        }
-        carveSlab(arena, slot, epoch);
-    }
-}
-
 void
-DurableAllocator::freeSlotLF(std::uint32_t slot, void *p)
-{
-    auto *o = reinterpret_cast<ObjectHeader *>(
-        static_cast<char *>(p) - kHeaderSize);
-    const std::uint32_t arena = arenaOfThisThread();
-    DrainPin pin(*this);
-    const std::uint64_t epoch = epochs_.writeEpoch();
-    // Frees bypass the thread cache: EBR requires a freed object to
-    // wait out the epoch on the pending list, and tests/diagnostics
-    // rely on pendingCount being exact immediately after a free.
-    HeadRecord &pr = headOf(arena, slot, kPending);
-    ensureLoggedShared(pr, epoch);
-    pushChain(pr, o, o, /*pendingTail=*/true);
-    globalStats().add(Stat::kFrees);
-}
-
-void
-DurableAllocator::allocManyLF(std::uint32_t slot, void **out,
-                              std::size_t n)
+DurableAllocator::allocLF(std::uint32_t slot, void **out, std::size_t n)
 {
     std::size_t got = cacheTake(slot, out, n);
     if (got > 0)
         globalStats().add(Stat::kAllocFastPathHits, got);
-    if (got < n) {
+    if (INCLL_UNLIKELY(got < n)) {
+        // Refill: pop the shortfall plus one cache load as a single
+        // segment; the surplus refills the cache.
         const std::uint32_t arena = arenaOfThisThread();
         DrainPin pin(*this);
         const std::uint64_t epoch = epochs_.writeEpoch();
         HeadRecord &fr = headOf(arena, slot, kFree);
+        void *spare[kCacheTarget];
+        std::size_t nSpare = 0;
+        void *cut = nullptr;
         while (got < n) {
-            const std::size_t k =
-                popSegment(fr, epoch, n - got, out + got);
+            const std::size_t want = n - got;
+            const std::size_t k = popSegment(fr, epoch, out + got, want,
+                                             spare, kCacheTarget, cut);
             if (k == 0) {
                 carveSlab(arena, slot, epoch);
                 continue;
             }
-            got += k;
+            got += std::min(k, want);
+            nSpare = k - std::min(k, want);
         }
+        if (nSpare > 0)
+            cachePut(arena, slot, spare, nSpare, cut);
     }
     globalStats().add(Stat::kAllocs, n);
     for (std::size_t i = 0; i < n; ++i)
@@ -799,26 +828,26 @@ DurableAllocator::allocManyLF(std::uint32_t slot, void **out,
 }
 
 void
-DurableAllocator::freeManyLF(std::uint32_t slot, void *const *ps,
-                             std::size_t n)
+DurableAllocator::freeLF(std::uint32_t slot, void *const *ps, std::size_t n)
 {
+    // Stage the frees in this thread slot's buffer. EBR still holds: a
+    // staged object is on no list, so nothing can hand it out, and the
+    // boundary pushes it onto the pending list before its flush — it
+    // becomes allocatable only at the boundary after that.
     const std::uint32_t arena = arenaOfThisThread();
-    DrainPin pin(*this);
-    const std::uint64_t epoch = epochs_.writeEpoch();
-    HeadRecord &pr = headOf(arena, slot, kPending);
-    ensureLoggedShared(pr, epoch);
-    // Link the batch into one private chain, then publish it with a
-    // single CAS: N frees cost O(1) shared-list operations.
-    auto hdr = [](void *p) {
-        return reinterpret_cast<ObjectHeader *>(static_cast<char *>(p) -
-                                                kHeaderSize);
-    };
-    for (std::size_t i = 0; i + 1 < n; ++i)
-        writeObjectNext(hdr(ps[i]), hdr(ps[i + 1]));
-    pushChain(pr, hdr(ps[0]), hdr(ps[n - 1]), /*pendingTail=*/true);
+    ThreadCache &c = cacheOf(threadSlotOfThisThread(), slot);
+    CacheLock lock(*this, c, /*fenceOpen=*/true);
+    epochs_.noteWrite();
+    for (std::size_t i = 0; i < n; ++i) {
+        void *o = static_cast<char *>(ps[i]) - kHeaderSize;
+        __builtin_prefetch(o, 1); // linked when the buffer is pushed
+        c.freed[c.staged++] = o;
+        if (c.staged == kCacheTarget) {
+            pushObjects(arena, slot, kPending, c.freed, c.staged);
+            c.staged = 0;
+        }
+    }
     globalStats().add(Stat::kFrees, n);
-    if (n > 1)
-        globalStats().add(Stat::kAllocSpills);
 }
 
 void
@@ -859,6 +888,31 @@ DurableAllocator::drainClose()
     for (std::uint32_t s = 0; s < kMaxThreadSlots; ++s)
         while (drainPins_[s].pins.load(std::memory_order_acquire) != 0)
             backoff.pause();
+    if (!lockFree_)
+        return;
+    // Push every staged free onto its arena's pending list while the
+    // finishing epoch is open, so the flush makes each free of the
+    // epoch durable. A free stages only under a cache flag it took
+    // with the fence open; taking each flag here waits such a free out,
+    // and any later one finds the fence closed. A slot stages only
+    // after binding to an arena, and that binding (seq_cst) precedes
+    // its fence check (seq_cst), so a slot read here as unbound cannot
+    // have staged anything this epoch. A crash in here fails the
+    // finishing epoch: the pushes roll back with the frees they carry.
+    for (std::uint32_t ts = 0; ts < kMaxThreadSlots; ++ts) {
+        const std::uint8_t arena =
+            arenaOfSlot_[ts].load(std::memory_order_seq_cst);
+        if (arena == 0xff)
+            continue;
+        for (std::uint32_t slot = 0; slot < kNumSlots; ++slot) {
+            ThreadCache &c = cacheOf(ts, slot);
+            CacheLock lock(*this, c, /*fenceOpen=*/false);
+            if (c.staged > 0) {
+                pushObjects(arena, slot, kPending, c.freed, c.staged);
+                c.staged = 0;
+            }
+        }
+    }
 }
 
 void
@@ -873,31 +927,21 @@ DurableAllocator::drainLocalCaches()
     if (!lockFree_ || caches_ == nullptr)
         return;
     for (std::uint32_t ts = 0; ts < kMaxThreadSlots; ++ts) {
-        const std::uint8_t assigned =
+        // A slot caches or stages objects only once bound to an arena.
+        const std::uint8_t arena =
             arenaOfSlot_[ts].load(std::memory_order_acquire);
-        // Objects are not arena-tagged; any arena is a valid home.
-        const std::uint32_t arena = assigned == 0xff ? 0 : assigned;
+        if (arena == 0xff)
+            continue;
         for (std::uint32_t slot = 0; slot < kNumSlots; ++slot) {
             ThreadCache &c = cacheOf(ts, slot);
-            while (c.busy.test_and_set(std::memory_order_acquire))
-                cpuRelax();
-            const std::size_t n = c.count;
-            void *objs[kCacheTarget];
-            std::copy(c.objs, c.objs + n, objs);
+            CacheLock lock(*this, c, /*fenceOpen=*/true);
+            if (c.staged > 0)
+                pushObjects(arena, slot, kPending, c.freed, c.staged);
+            if (c.count > 0)
+                pushObjects(arena, slot, kFree, c.objs, c.count);
+            c.staged = 0;
             c.count = 0;
-            c.busy.clear(std::memory_order_release);
-            if (n == 0)
-                continue;
-            DrainPin pin(*this);
-            HeadRecord &fr = headOf(arena, slot, kFree);
-            ensureLoggedShared(fr, epochs_.writeEpoch());
-            for (std::size_t i = 0; i + 1 < n; ++i)
-                writeObjectNext(static_cast<ObjectHeader *>(objs[i]),
-                                objs[i + 1]);
-            pushChain(fr, static_cast<ObjectHeader *>(objs[0]),
-                      static_cast<ObjectHeader *>(objs[n - 1]),
-                      /*pendingTail=*/false);
-            globalStats().add(Stat::kAllocSpills);
+            c.ahead = nullptr;
         }
     }
 }
@@ -907,25 +951,38 @@ DurableAllocator::drainLocalCaches()
 // ---------------------------------------------------------------------
 
 void *
+DurableAllocator::allocSlot(std::uint32_t slot)
+{
+    if (!lockFree_)
+        return allocSlotLocked(slot);
+    void *p = nullptr;
+    allocLF(slot, &p, 1);
+    return p;
+}
+
+void
+DurableAllocator::freeSlot(std::uint32_t slot, void *p)
+{
+    lockFree_ ? freeLF(slot, &p, 1) : freeSlotLocked(slot, p);
+}
+
+void *
 DurableAllocator::alloc(std::size_t bytes)
 {
-    const std::uint32_t slot = SizeClasses::classOf(bytes);
-    return lockFree_ ? allocSlotLF(slot) : allocSlotLocked(slot);
+    return allocSlot(SizeClasses::classOf(bytes));
 }
 
 void
 DurableAllocator::free(void *p, std::size_t bytes)
 {
-    const std::uint32_t slot = SizeClasses::classOf(bytes);
-    lockFree_ ? freeSlotLF(slot, p) : freeSlotLocked(slot, p);
+    freeSlot(SizeClasses::classOf(bytes), p);
 }
 
 void *
 DurableAllocator::allocAligned(std::size_t bytes)
 {
-    const std::uint32_t slot =
-        SizeClasses::classOf(bytes) + SizeClasses::kNumClasses;
-    void *p = lockFree_ ? allocSlotLF(slot) : allocSlotLocked(slot);
+    void *p =
+        allocSlot(SizeClasses::classOf(bytes) + SizeClasses::kNumClasses);
     assert(reinterpret_cast<std::uintptr_t>(p) % kCacheLineSize == 0);
     return p;
 }
@@ -933,9 +990,7 @@ DurableAllocator::allocAligned(std::size_t bytes)
 void
 DurableAllocator::freeAligned(void *p, std::size_t bytes)
 {
-    const std::uint32_t slot =
-        SizeClasses::classOf(bytes) + SizeClasses::kNumClasses;
-    lockFree_ ? freeSlotLF(slot, p) : freeSlotLocked(slot, p);
+    freeSlot(SizeClasses::classOf(bytes) + SizeClasses::kNumClasses, p);
 }
 
 void
@@ -945,7 +1000,7 @@ DurableAllocator::allocMany(std::size_t bytes, void **out, std::size_t n)
         return;
     const std::uint32_t slot = SizeClasses::classOf(bytes);
     if (lockFree_) {
-        allocManyLF(slot, out, n);
+        allocLF(slot, out, n);
         return;
     }
     for (std::size_t i = 0; i < n; ++i)
@@ -960,7 +1015,7 @@ DurableAllocator::freeMany(void *const *ps, std::size_t n,
         return;
     const std::uint32_t slot = SizeClasses::classOf(bytes);
     if (lockFree_) {
-        freeManyLF(slot, ps, n);
+        freeLF(slot, ps, n);
         return;
     }
     for (std::size_t i = 0; i < n; ++i)
@@ -1032,6 +1087,9 @@ DurableAllocator::pendingCount(std::uint32_t arena, std::uint32_t cls,
         ++n;
         o = static_cast<ObjectHeader *>(resolveNext(o));
     }
+    for (std::uint32_t ts = 0; ts < kMaxThreadSlots; ++ts)
+        if (arenaOfSlot_[ts].load(std::memory_order_acquire) == arena)
+            n += cacheOf(ts, slot).staged;
     return n;
 }
 

@@ -24,23 +24,32 @@
  *
  *  - *locked* (the original design): every list operation takes the
  *    per-(arena, class) spin lock.
- *  - *lock-free* (default): the hot path pops from a transient
- *    per-thread cache of objects (a plain pointer array — zero durable
- *    stores, zero atomics beyond one try-lock flag). The cache refills
- *    and spills in constant-time *block* transfers against the shared
- *    lists: a bounded read-only walk collects a segment, then one
- *    double-width CAS on {head, version} detaches it (the version word
- *    defeats ABA; every successful head mutation increments it). Batched
- *    allocMany/freeMany move N objects with O(1) shared-list CASes.
- *    First-touch-per-epoch in-line logging of a shared record is
- *    arbitrated by a transient claim word so exactly one thread writes
- *    the InCLL copies and epoch stamp.
+ *  - *lock-free* (default): the hot path stays off the shared lists.
+ *    Each thread slot keeps, per class, a transient cache of objects to
+ *    allocate from and a buffer of staged frees (plain pointer arrays
+ *    under one busy flag — zero durable stores). The cache refills
+ *    in constant-time *block* transfers: a bounded read-only walk
+ *    collects a segment, then one double-width CAS on {head, version}
+ *    detaches it (the version word defeats ABA; every successful head
+ *    mutation increments it). The walk finds its headers in cache: each
+ *    cache hit steps a lookahead one object down the list the last
+ *    refill left behind and prefetches the next. A full free buffer is
+ *    linked and pushed onto the pending list with one CAS, and the
+ *    epoch boundary pushes every partial one, so allocMany/freeMany
+ *    move N objects with O(1) shared-list CASes and a per-op free
+ *    touches no shared line. First-touch-per-epoch in-line logging of a
+ *    shared record is arbitrated by a transient claim word so exactly
+ *    one thread writes the InCLL copies and epoch stamp.
  *
  * In both modes, epoch boundaries close a drain fence (an EpochManager
  * prepare hook) and reopen it only after pending→free promotion, so no
  * list operation straddles the global flush, and none can read the new
  * epoch and free an object that the same boundary's promotion would
- * then hand out in that very epoch.
+ * then hand out in that very epoch. In lock-free mode the prepare hook
+ * then takes every thread cache's flag and pushes its staged frees onto
+ * the pending list, so every free of a committed epoch is durable at
+ * that epoch's flush. A free stages only under a flag it took with the
+ * fence open, so it cannot slip past the hook into the next epoch.
  *
  * Crash recovery: list heads are rolled back eagerly at attach (a few
  * lines); object headers are repaired lazily when a pop first touches
@@ -53,8 +62,11 @@
  * slab per concurrent carver per (arena, size class), plus — in
  * lock-free mode — the objects sitting in per-thread caches whose
  * refill epoch had already committed (≤ kCacheTarget objects per thread
- * slot per class). The paper's allocator has the same property for its
- * pool growth path; tree nodes and installed values are unaffected.
+ * slot per class). Staged frees are not a leak: those of a committed
+ * epoch were pushed before its flush, and those of the failed epoch
+ * roll back with it (the objects are live again). The paper's allocator
+ * has the same property for its pool growth path; tree nodes and
+ * installed values are unaffected.
  */
 #pragma once
 
@@ -97,7 +109,8 @@ class DurableAllocator
     static constexpr std::size_t kHeaderSize = 16;
     /** Thread-cache slots; threads hash onto them round-robin. */
     static constexpr std::uint32_t kMaxThreadSlots = 64;
-    /** Objects a per-thread cache holds after a refill (its capacity). */
+    /** Objects a per-thread cache holds after a refill (its capacity),
+     *  and frees a thread slot stages per class before pushing them. */
     static constexpr std::uint32_t kCacheTarget = 32;
 
     /**
@@ -170,16 +183,18 @@ class DurableAllocator
 
     /**
      * Allocate @p n objects of @p bytes each into @p out. In lock-free
-     * mode the whole batch costs O(1) shared-list CASes (one segment
-     * pop per retry, regardless of n) after the thread cache is
-     * drained; in locked mode it degenerates to n single allocations.
+     * mode the batch is served from the thread cache; a shortfall is
+     * popped together with one cache load as a single segment (one CAS
+     * per retry, regardless of n) and the surplus refills the cache. In
+     * locked mode it degenerates to n single allocations.
      */
     void allocMany(std::size_t bytes, void **out, std::size_t n);
 
     /**
      * Free @p n objects (each allocated with @p bytes). In lock-free
-     * mode the batch is linked into one chain and pushed onto the
-     * pending list with a single CAS.
+     * mode the objects are staged in the thread slot's free buffer; each
+     * full buffer is linked and pushed onto the pending list with a
+     * single CAS, and the next epoch boundary pushes the rest.
      */
     void freeMany(void *const *ps, std::size_t n, std::size_t bytes);
 
@@ -190,10 +205,11 @@ class DurableAllocator
     void recoverHeads();
 
     /**
-     * Return every cached object to its shared free list. Call at clean
-     * shutdown (quiesced) to keep a graceful detach leak-free; never
-     * called from the destructor, because tests destroy allocators
-     * whose pool has already simulated a crash.
+     * Return every cached object to its shared free list, and push every
+     * staged free onto its pending list. Call at clean shutdown
+     * (quiesced) to keep a graceful detach leak-free; never called from
+     * the destructor, because tests destroy allocators whose pool has
+     * already simulated a crash.
      */
     void drainLocalCaches();
 
@@ -201,7 +217,11 @@ class DurableAllocator
     std::uint64_t freeCount(std::uint32_t arena, std::uint32_t cls,
                             bool aligned = false) const;
 
-    /** Pending-list length of (arena, class); test/diagnostic use. */
+    /**
+     * Pending-list length of (arena, class) plus the frees staged by the
+     * thread slots bound to that arena, i.e. every object freed since
+     * the last boundary. Test/diagnostic use; requires quiescence.
+     */
     std::uint64_t pendingCount(std::uint32_t arena, std::uint32_t cls,
                                bool aligned = false) const;
 
@@ -260,12 +280,21 @@ class DurableAllocator
      */
     static constexpr std::uint32_t kNumSlots = SizeClasses::kNumClasses * 2;
 
-    /** Transient per-thread-slot object cache (payloadless headers). */
+    /**
+     * Transient per-thread-slot state of one class (object headers, not
+     * payloads): the cache allocations pop from and the frees staged
+     * for the pending list, both guarded by `busy`.
+     */
     struct alignas(kCacheLineSize) ThreadCache
     {
         std::atomic_flag busy = ATOMIC_FLAG_INIT;
-        std::uint32_t count = 0;
+        std::uint32_t count = 0;  ///< cached objects in objs
+        std::uint32_t staged = 0; ///< staged frees in freed
+        /** Lookahead into the free list the last refill left behind: a
+         *  prefetch hint only, never handed out. */
+        void *ahead = nullptr;
         void *objs[kCacheTarget];
+        void *freed[kCacheTarget];
     };
 
     // ---- locked mode (original design) ----
@@ -275,14 +304,15 @@ class DurableAllocator
     void promotePendingLocked();
 
     // ---- lock-free mode ----
-    void *allocSlotLF(std::uint32_t slot);
-    void freeSlotLF(std::uint32_t slot, void *p);
-    void allocManyLF(std::uint32_t slot, void **out, std::size_t n);
-    void freeManyLF(std::uint32_t slot, void *const *ps, std::size_t n);
+    void allocLF(std::uint32_t slot, void **out, std::size_t n);
+    void freeLF(std::uint32_t slot, void *const *ps, std::size_t n);
     std::size_t popSegment(HeadRecord &rec, std::uint64_t epoch,
-                           std::size_t maxN, void **out);
+                           void **out, std::size_t nOut, void **spare,
+                           std::size_t nSpare, void *&cut);
     void pushChain(HeadRecord &rec, ObjectHeader *chainHead,
                    ObjectHeader *chainTail, bool pendingTail);
+    void pushObjects(std::uint32_t arena, std::uint32_t slot,
+                     ListKind kind, void *const *objs, std::size_t n);
     void carveSlab(std::uint32_t arena, std::uint32_t slot,
                    std::uint64_t epoch);
     void promotePendingLF(std::uint64_t newEpoch);
@@ -291,13 +321,14 @@ class DurableAllocator
     void drainOpen();
     std::size_t cacheTake(std::uint32_t slot, void **out, std::size_t n);
     void cachePut(std::uint32_t arena, std::uint32_t slot, void **objs,
-                  std::size_t n);
-    ThreadCache &cacheOf(std::uint32_t threadSlot, std::uint32_t slot);
+                  std::size_t n, void *ahead);
+    ThreadCache &cacheOf(std::uint32_t threadSlot,
+                         std::uint32_t slot) const;
     std::atomic<std::uint64_t> &logStateOf(const HeadRecord &rec);
 
     // ---- shared ----
-    void dispatchAlloc(std::uint32_t slot, void **out, std::size_t n);
-    void dispatchFree(std::uint32_t slot, void *const *ps, std::size_t n);
+    void *allocSlot(std::uint32_t slot);
+    void freeSlot(std::uint32_t slot, void *p);
     HeadRecord &headOf(std::uint32_t arena, std::uint32_t slot,
                        ListKind kind) const;
     SpinLock &lockOf(std::uint32_t arena, std::uint32_t slot);
@@ -325,6 +356,7 @@ class DurableAllocator
     }
 
     class DrainPin;
+    class CacheLock;
 
     nvm::Pool &pool_;
     EpochManager &epochs_;
@@ -338,7 +370,8 @@ class DurableAllocator
     /** Transient in-line-log claim words, one per head record:
      *  epoch*2 = a thread is writing the log, epoch*2+1 = logged. */
     std::unique_ptr<std::atomic<std::uint64_t>[]> logStates_;
-    /** Transient per-thread-slot caches [threadSlot][slot]. */
+    /** Transient per-thread-slot caches [threadSlot][slot]. A slot
+     *  stages frees only once it is bound to an arena (arenaOfSlot_). */
     std::unique_ptr<ThreadCache[]> caches_;
     /** One drain-fence pin counter per thread slot, padded so the hot
      *  path increments a line nobody else writes. */

@@ -74,7 +74,11 @@ class EpochManager
      * epoch through here, so a scheduled boundary can tell an epoch
      * with something to persist from one without (skipIfIdle()).
      * Callers hold the gate or an allocator drain pin, so the mark
-     * cannot land between advance()'s clear and its flush.
+     * cannot land between advance()'s clear and its flush. A buffered
+     * allocator free marks through noteWrite() while it holds a thread
+     * cache's busy flag that it took with the drain fence open; the
+     * allocator's prepare hook takes every such flag before advance()
+     * clears the mark, so that mark cannot land there either.
      */
     std::uint64_t
     writeEpoch()
@@ -84,7 +88,9 @@ class EpochManager
     }
 
     /** Mark the current epoch as written without reading it (lazy node
-     *  recovery stamps firstExecEpoch(), not the current epoch). */
+     *  recovery stamps firstExecEpoch(), not the current epoch; a
+     *  buffered free stores nothing durable until the boundary pushes
+     *  it). Same caller rules as writeEpoch(). */
     void
     noteWrite()
     {

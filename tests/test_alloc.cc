@@ -149,6 +149,31 @@ TEST_F(AllocFixture, FreeIsReusableOnlyAfterEpochAdvance)
     EXPECT_TRUE(reused);
 }
 
+TEST_F(AllocFixture, FullStagingBufferPushesOnce)
+{
+    alloc = std::make_unique<DurableAllocator>(*pool, *epochs, statePtr,
+                                               true, 1);
+    const auto cls = SizeClasses::classOf(32);
+    std::vector<void *> objs(DurableAllocator::kCacheTarget + 1);
+    for (auto &p : objs)
+        p = alloc->alloc(32);
+
+    // A thread stages its frees; the kCacheTarget-th fills the buffer,
+    // which goes onto the pending list as one chain. The last free
+    // stays staged, but pendingCount counts it.
+    for (void *p : objs)
+        alloc->free(p, 32);
+    EXPECT_EQ(alloc->listObjects(0, cls, false, true).size(),
+              DurableAllocator::kCacheTarget);
+    EXPECT_EQ(alloc->pendingCount(0, cls), objs.size());
+
+    // The boundary pushes the staged one and promotes them all.
+    const auto freeBefore = alloc->freeCount(0, cls);
+    epochs->advance();
+    EXPECT_EQ(alloc->pendingCount(0, cls), 0u);
+    EXPECT_EQ(alloc->freeCount(0, cls), freeBefore + objs.size());
+}
+
 TEST_F(AllocFixture, CrashRollsBackAllocations)
 {
     alloc = std::make_unique<DurableAllocator>(*pool, *epochs, statePtr,

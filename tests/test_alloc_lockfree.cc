@@ -1,7 +1,9 @@
 /**
  * @file
  * Lock-free durable allocator tests: batched alloc/free round trips,
- * first-touch arena assignment, arena auto-sizing, the locked baseline,
+ * staged frees made durable by the boundary's prepare hook, allocMany
+ * refilling the thread cache, first-touch arena assignment, arena
+ * auto-sizing, the locked baseline,
  * and a crash-injection storm that aborts operations at every phase of
  * the lock-free protocol (setPhaseHook) and verifies recovery
  * reconstructs the free-list state exactly-once — no object is ever
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "alloc/durable_alloc.h"
+#include "common/stats.h"
 #include "epoch/epoch_manager.h"
 #include "nvm/pool.h"
 
@@ -119,6 +122,55 @@ TEST_F(LockFreeAllocFixture, BatchedAllocFreeRoundTrip)
     for (void *p : again)
         reused += seen.count(p);
     EXPECT_GT(reused, 0u);
+}
+
+TEST_F(LockFreeAllocFixture, StagedFreesDurableAtBoundary)
+{
+    makeFresh(1, 1u << 16);
+    const auto cls = SizeClasses::classOf(48);
+
+    // Commit a few live objects, then free fewer than a buffer's worth:
+    // they are staged in this thread's buffer, on no list yet.
+    std::vector<void *> objs(DurableAllocator::kCacheTarget / 2);
+    for (auto &p : objs)
+        p = alloc->alloc(48);
+    epochs->advance();
+    for (void *p : objs)
+        alloc->free(p, 48);
+    ASSERT_TRUE(alloc->listObjects(0, cls, false, true).empty());
+    ASSERT_EQ(alloc->pendingCount(0, cls), objs.size());
+
+    // The boundary must push them onto the pending list before its
+    // flush; a crash right after it, with no further work, must find
+    // every one of them on a recovered list.
+    epochs->advance();
+    DurableAllocator *rec = crashAndRecover();
+    std::set<void *> onLists;
+    for (const bool pending : {false, true}) {
+        const auto l = rec->listObjects(0, cls, false, pending);
+        onLists.insert(l.begin(), l.end());
+    }
+    for (void *p : objs)
+        EXPECT_EQ(onLists.count(p), 1u) << p << " freed in a committed "
+                                        << "epoch is on no list";
+}
+
+TEST_F(LockFreeAllocFixture, AllocManyRefillsThreadCache)
+{
+    makeFresh(1, 1u << 16);
+    // A cold batch pops its shortfall plus one cache load; the next
+    // batches are served from the cache without touching the list.
+    const auto hits = [] {
+        return globalStats().get(Stat::kAllocFastPathHits);
+    };
+    void *objs[8];
+    const auto before = hits();
+    alloc->allocMany(48, objs, 8);
+    EXPECT_EQ(hits(), before);
+    alloc->allocMany(48, objs, 8);
+    EXPECT_EQ(hits(), before + 8);
+    std::set<void *> seen(objs, objs + 8);
+    EXPECT_EQ(seen.size(), 8u);
 }
 
 TEST_F(LockFreeAllocFixture, ArenaRoundRobinFirstTouch)
@@ -238,11 +290,15 @@ struct Books
  * that often), crash, recover, and check every invariant. With
  * target == nullopt the workload runs hook-free and @p phaseCounts
  * receives how often each phase fired (used to size the storm).
+ * @p prepareCrash, if given, is set iff the throw came out of advance()
+ * before the durable epoch increment, i.e. from the prepare hook's push
+ * of staged frees.
  */
 void
 stormCycle(LockFreeAllocFixture &fx, std::uint32_t seed,
            const DurableAllocator::Phase *target, std::uint64_t hit,
-           std::map<DurableAllocator::Phase, std::uint64_t> *phaseCounts)
+           std::map<DurableAllocator::Phase, std::uint64_t> *phaseCounts,
+           bool *prepareCrash = nullptr)
 {
     fx.reset();
     fx.makeFresh(1, kStormSlab);
@@ -257,8 +313,8 @@ stormCycle(LockFreeAllocFixture &fx, std::uint32_t seed,
 
     Books books;
     std::mt19937_64 rng(seed);
+    std::uint64_t openEpoch = *fx.epochWord;
     bool inAdvance = false;
-    bool threw = false;
     try {
         for (int round = 0; round < 9; ++round) {
             for (int j = 0; j < 3; ++j) {
@@ -289,23 +345,26 @@ stormCycle(LockFreeAllocFixture &fx, std::uint32_t seed,
                 books.onFree(p);
             }
             if (round % 3 == 2) {
-                // A throw out of advance() happens after the durable
-                // epoch increment: the old epoch committed either way.
                 inAdvance = true;
                 fx.epochs->advance();
                 inAdvance = false;
+                openEpoch = *fx.epochWord;
                 books.commitEpoch();
             }
         }
     } catch (const CrashPoint &) {
-        threw = true;
-        if (inAdvance)
-            books.commitEpoch();
-        else
-            books.rollbackEpoch();
     }
-    if (!threw)
-        books.rollbackEpoch(); // final crash fails the open epoch
+    // The open epoch committed iff the durable epoch word moved past
+    // it. A throw out of advance() after the increment (promotion)
+    // commits it; one before it (the prepare hook pushing staged frees)
+    // fails it like any other crash, as does the final crash below.
+    const bool committed = *fx.epochWord != openEpoch;
+    if (prepareCrash != nullptr)
+        *prepareCrash = inAdvance && !committed;
+    if (committed)
+        books.commitEpoch();
+    else
+        books.rollbackEpoch();
     a->setPhaseHook(nullptr);
 
     if (phaseCounts != nullptr)
@@ -372,7 +431,9 @@ TEST_F(LockFreeAllocFixture, CrashStormEveryPhase)
             << "phase " << ph << " never fired; workload lost coverage";
 
     // Pass 2: crash at every phase, at several occurrence indices
-    // spread across the run (early, middle, late).
+    // spread across the run (early, middle, late). Some of them must
+    // land in a boundary's push of staged frees.
+    std::size_t prepareCrashes = 0;
     for (std::uint32_t ph = 0;
          ph <= static_cast<std::uint32_t>(
                    DurableAllocator::Phase::kPromoteSplice);
@@ -383,10 +444,15 @@ TEST_F(LockFreeAllocFixture, CrashStormEveryPhase)
         for (std::uint64_t hit = 1; hit <= total; hit += step) {
             SCOPED_TRACE("phase " + std::to_string(ph) + " hit " +
                          std::to_string(hit));
-            stormCycle(*this, 1 + ph * 131 + static_cast<std::uint32_t>(hit),
-                       &target, hit, nullptr);
+            bool prepareCrash = false;
+            stormCycle(*this,
+                       1 + ph * 131 + static_cast<std::uint32_t>(hit),
+                       &target, hit, nullptr, &prepareCrash);
+            prepareCrashes += prepareCrash;
         }
     }
+    EXPECT_GT(prepareCrashes, 0u)
+        << "no crash hit the prepare hook's push of staged frees";
 }
 
 } // namespace

@@ -16,21 +16,27 @@
  * is in flight must demote to per-op routing, never serve through the
  * stale table — the slow-op phases of batched ops, and the kStats
  * exposition scraped mid add/merge/retire (labeled shard series stay
- * unique, no dangling ids).
+ * unique, no dangling ids), and a seeded frame-mutation fuzz (hostile
+ * bytes never kill the process or draw a malformed reply).
  */
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
+#include <cstddef>
 #include <cstdlib>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <utility>
@@ -1217,6 +1223,328 @@ TEST(ServerProtocol, StatsExpositionDuringTopologyChange)
         ASSERT_EQ(g.status(), Status::kOk) << "rank " << rank;
         EXPECT_EQ(g.payload, valueFor(rank)) << "rank " << rank;
     }
+
+    ycsb::destroyWithValues(server.store());
+}
+
+// ---------------------------------------------------------------------
+// Frame-mutation fuzz
+// ---------------------------------------------------------------------
+
+/** A valid request frame, with the offsets the length mutators aim at. */
+struct FuzzFrame
+{
+    std::vector<char> bytes;
+    /** Offsets of each MULTI entry's u16 keyLen (a u32 valLen follows
+     *  it in a MULTI_PUT entry). Empty for point ops. */
+    std::vector<std::size_t> entries;
+    bool multiPut = false;
+};
+
+FuzzFrame
+pointFrame(Op op, std::string_view k, std::string_view payload,
+           std::uint32_t scanLimit = 0)
+{
+    FuzzFrame f;
+    ReqHeader h{};
+    h.op = static_cast<std::uint8_t>(op);
+    h.keyLen = static_cast<std::uint16_t>(k.size());
+    h.valLen = op == Op::kScan
+                   ? scanLimit
+                   : static_cast<std::uint32_t>(payload.size());
+    h.seq = 0x5eed;
+    putRaw(f.bytes, h);
+    f.bytes.insert(f.bytes.end(), k.begin(), k.end());
+    f.bytes.insert(f.bytes.end(), payload.begin(), payload.end());
+    return f;
+}
+
+FuzzFrame
+multiFrame(bool put, std::uint32_t entries)
+{
+    std::vector<std::size_t> offsets;
+    std::vector<char> payload;
+    putRaw(payload, entries);
+    for (std::uint32_t i = 0; i < entries; ++i) {
+        const std::string k = key(i);
+        offsets.push_back(sizeof(ReqHeader) + payload.size());
+        putRaw(payload, static_cast<std::uint16_t>(k.size()));
+        if (put)
+            putRaw(payload, static_cast<std::uint32_t>(kValueBytes));
+        payload.insert(payload.end(), k.begin(), k.end());
+        if (put) {
+            const std::string v = valueFor(i);
+            payload.insert(payload.end(), v.begin(), v.end());
+        }
+    }
+    FuzzFrame f = pointFrame(put ? Op::kMultiPut : Op::kMultiGet, {},
+                             {payload.data(), payload.size()});
+    f.entries = std::move(offsets);
+    f.multiPut = put;
+    return f;
+}
+
+template <typename T>
+void
+pokeRaw(std::vector<char> &buf, std::size_t off, T v)
+{
+    if (off + sizeof(T) <= buf.size())
+        std::memcpy(buf.data() + off, &v, sizeof(T));
+}
+
+template <typename T>
+T
+peekRaw(const std::vector<char> &buf, std::size_t off)
+{
+    T v{};
+    if (off + sizeof(T) <= buf.size())
+        std::memcpy(&v, buf.data() + off, sizeof(T));
+    return v;
+}
+
+/** A length or count field's hostile values around its true value. */
+template <typename T>
+T
+hostile(std::mt19937_64 &rng, T truth, T cap)
+{
+    const T picks[] = {T{0},
+                       cap,
+                       static_cast<T>(cap + 1),
+                       std::numeric_limits<T>::max(),
+                       static_cast<T>(truth - 1),
+                       static_cast<T>(truth + 1)};
+    return picks[rng() % std::size(picks)];
+}
+
+/** Apply one seeded mutation to a copy of @p base. */
+std::vector<char>
+mutateFrame(const FuzzFrame &base, std::mt19937_64 &rng)
+{
+    std::vector<char> f = base.bytes;
+    constexpr std::size_t kKeyLenOff = offsetof(ReqHeader, keyLen);
+    constexpr std::size_t kValLenOff = offsetof(ReqHeader, valLen);
+    const bool multi = !base.entries.empty();
+    switch (rng() % (multi ? 7 : 4)) {
+      case 0: { // bit flips
+        const std::size_t flips = 1 + rng() % 4;
+        for (std::size_t i = 0; i < flips; ++i)
+            f[rng() % f.size()] ^= static_cast<char>(1u << (rng() % 8));
+        break;
+      }
+      case 1: // truncation
+        f.resize(rng() % f.size());
+        break;
+      case 2:
+        pokeRaw(f, kKeyLenOff,
+                hostile<std::uint16_t>(
+                    rng, peekRaw<std::uint16_t>(f, kKeyLenOff),
+                    static_cast<std::uint16_t>(kMaxKeyLen)));
+        break;
+      case 3:
+        pokeRaw(f, kValLenOff,
+                hostile<std::uint32_t>(
+                    rng, peekRaw<std::uint32_t>(f, kValLenOff),
+                    static_cast<std::uint32_t>(kMaxValLen)));
+        break;
+      case 4: { // MULTI count
+        const std::size_t off = sizeof(ReqHeader);
+        pokeRaw(f, off,
+                hostile<std::uint32_t>(rng, peekRaw<std::uint32_t>(f, off),
+                                       std::uint32_t{0xFFFFFFFFu}));
+        break;
+      }
+      case 5: { // one MULTI entry's keyLen or valLen
+        const std::size_t e =
+            base.entries[rng() % base.entries.size()];
+        if (base.multiPut && rng() % 2 == 0)
+            pokeRaw(f, e + 2,
+                    hostile<std::uint32_t>(
+                        rng, peekRaw<std::uint32_t>(f, e + 2),
+                        static_cast<std::uint32_t>(kValueBytes)));
+        else
+            pokeRaw(f, e,
+                    hostile<std::uint16_t>(
+                        rng, peekRaw<std::uint16_t>(f, e),
+                        static_cast<std::uint16_t>(kMaxKeyLen)));
+        break;
+      }
+      default: { // a MULTI entry that runs past the payload's end
+        const std::size_t e =
+            base.entries[rng() % base.entries.size()];
+        const std::size_t past = f.size() - e + 1 + rng() % 64;
+        pokeRaw(f, e, static_cast<std::uint16_t>(std::min<std::size_t>(
+                          past, kMaxKeyLen)));
+        break;
+      }
+    }
+    return f;
+}
+
+/** Why @p h (and its complete payload) is not a well-formed response,
+ *  or empty if it is. */
+std::string
+malformedReason(const RespHeader &h, const char *payload)
+{
+    if (h.status > static_cast<std::uint8_t>(Status::kRefused))
+        return "unknown status " + std::to_string(h.status);
+    if (h.reserved != 0 || h.flags > kFlagInserted)
+        return "stray header bits";
+    if (static_cast<Status>(h.status) != Status::kOk)
+        return h.valLen == 0 ? "" : "error status with a payload";
+    std::size_t off = 0;
+    const auto need = [&](std::size_t n) { return h.valLen - off >= n; };
+    switch (static_cast<Op>(h.op)) {
+      case Op::kGet:
+        return h.valLen == kValueBytes ? "" : "GET value of wrong size";
+      case Op::kPut:
+      case Op::kRemove:
+      case Op::kPing:
+        return h.valLen == 0 ? "" : "payload on a bare ack";
+      case Op::kMultiPut:
+        return h.valLen == sizeof(std::uint32_t) ? "" : "MULTI_PUT ack size";
+      case Op::kStats:
+        return "";
+      case Op::kScan:
+      case Op::kMultiGet: {
+        const bool scan = static_cast<Op>(h.op) == Op::kScan;
+        if (!need(sizeof(std::uint32_t)))
+            return "missing count";
+        const auto count = getRaw<std::uint32_t>(payload, off);
+        for (std::uint32_t i = 0; i < count; ++i) {
+            std::size_t body = 0;
+            if (scan) {
+                if (!need(sizeof(std::uint16_t) + sizeof(std::uint32_t)))
+                    return "scan entry header past the payload";
+                body = getRaw<std::uint16_t>(payload, off);
+                body += getRaw<std::uint32_t>(payload, off);
+            } else {
+                if (!need(sizeof(std::uint8_t) + sizeof(std::uint32_t)))
+                    return "MULTI_GET entry header past the payload";
+                const auto hit = getRaw<std::uint8_t>(payload, off);
+                body = getRaw<std::uint32_t>(payload, off);
+                if (hit > 1 || (hit == 0 && body != 0))
+                    return "MULTI_GET miss with a value";
+            }
+            if (!need(body))
+                return "entry past the payload";
+            off += body;
+        }
+        return off == h.valLen ? "" : "trailing payload bytes";
+      }
+      default:
+        return "kOk for op " + std::to_string(h.op);
+    }
+}
+
+/**
+ * Send @p frame on a fresh connection, half-close it, and read until
+ * the server closes. Returns false (with a reason) if a reply is not a
+ * well-formed response or the server never closes. A reply cut short
+ * by the close is allowed: the server may tear a connection down with
+ * output still queued.
+ */
+bool
+fuzzOneFrame(std::uint16_t port, const std::vector<char> &frame,
+             std::string &why)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) {
+        why = "socket failed";
+        return false;
+    }
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    const timeval timeout{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr)) !=
+        0) {
+        ::close(fd);
+        why = "connect failed";
+        return false;
+    }
+    // The server may close before it has read the whole frame:
+    // MSG_NOSIGNAL turns the resulting EPIPE into an error return.
+    std::size_t sent = 0;
+    while (sent < frame.size()) {
+        const ssize_t n = ::send(fd, frame.data() + sent,
+                                 frame.size() - sent, MSG_NOSIGNAL);
+        if (n <= 0)
+            break;
+        sent += static_cast<std::size_t>(n);
+    }
+    ::shutdown(fd, SHUT_WR);
+
+    std::vector<char> in;
+    char buf[16 * 1024];
+    bool closed = false;
+    for (;;) {
+        const ssize_t n = ::read(fd, buf, sizeof(buf));
+        if (n > 0) {
+            in.insert(in.end(), buf, buf + n);
+            continue;
+        }
+        closed = n == 0 || errno == ECONNRESET;
+        break;
+    }
+    ::close(fd);
+    if (!closed) {
+        why = "server neither answered nor closed the connection";
+        return false;
+    }
+    std::size_t off = 0;
+    while (in.size() - off >= sizeof(RespHeader)) {
+        RespHeader h;
+        std::memcpy(&h, in.data() + off, sizeof(h));
+        if (in.size() - off - sizeof(h) < h.valLen)
+            break; // cut short by the close
+        why = malformedReason(h, in.data() + off + sizeof(h));
+        if (!why.empty())
+            return false;
+        off += sizeof(h) + h.valLen;
+    }
+    return true;
+}
+
+TEST(ServerProtocol, FrameMutationFuzz)
+{
+    Server server(
+        std::make_unique<store::ShardedStore>(serverStoreOptions(2)),
+        store::StoreConfig{}, quickServerOptions());
+    server.start();
+    {
+        Client c(server.port());
+        for (std::uint64_t r = 0; r < 16; ++r)
+            c.roundTrip(Op::kPut, key(r), valueFor(r), r);
+    }
+
+    const std::vector<FuzzFrame> bases = {
+        pointFrame(Op::kGet, key(3), {}),
+        pointFrame(Op::kPut, key(4), valueFor(44)),
+        pointFrame(Op::kRemove, key(5), {}),
+        pointFrame(Op::kScan, key(1), {}, 8),
+        pointFrame(Op::kPing, {}, {}),
+        multiFrame(/*put=*/false, 3),
+        multiFrame(/*put=*/true, 3),
+    };
+    std::mt19937_64 rng(0xf1a3e);
+    constexpr int kFrames = 2000;
+    for (int i = 0; i < kFrames; ++i) {
+        const FuzzFrame &base = bases[rng() % bases.size()];
+        const std::vector<char> frame = mutateFrame(base, rng);
+        std::string why;
+        ASSERT_TRUE(fuzzOneFrame(server.port(), frame, why))
+            << "frame " << i << ": " << why;
+    }
+
+    // The process survived every frame; a clean client is still served.
+    Client c(server.port());
+    Resp r = c.roundTrip(Op::kPut, key(1000), valueFor(7), 1);
+    EXPECT_EQ(r.status(), Status::kOk);
+    r = c.roundTrip(Op::kGet, key(1000), {}, 2);
+    EXPECT_EQ(r.status(), Status::kOk);
+    EXPECT_EQ(r.payload, valueFor(7));
 
     ycsb::destroyWithValues(server.store());
 }
