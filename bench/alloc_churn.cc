@@ -74,7 +74,65 @@ struct AllocCounters
                 spills - b.spills,             casRetries - b.casRetries,
                 lockPath - b.lockPath,         allocs - b.allocs};
     }
+
+    AllocCounters &
+    operator+=(const AllocCounters &o)
+    {
+        fastPathHits += o.fastPathHits;
+        refills += o.refills;
+        spills += o.spills;
+        casRetries += o.casRetries;
+        lockPath += o.lockPath;
+        allocs += o.allocs;
+        return *this;
+    }
 };
+
+/**
+ * Every row is timed kRuns times and reports the median with the
+ * spread: one direct row runs for milliseconds, and a single timing
+ * of it spread by almost 2x between runs of one build.
+ */
+constexpr int kRuns = 5;
+
+/** Print and record one row: median throughput, its spread, and the
+ *  allocator counters summed over the row's runs. */
+void
+reportRow(JsonReport &report, const Params &p, const std::string &mode,
+          unsigned batch, const std::vector<double> &mops,
+          const AllocCounters &d)
+{
+    const double median = percentile(mops, 50.0);
+    const double lo = percentile(mops, 0.0);
+    const double hi = percentile(mops, 100.0);
+    const double hitPct =
+        d.allocs > 0 ? 100.0 * static_cast<double>(d.fastPathHits) /
+                           static_cast<double>(d.allocs)
+                     : 0.0;
+    std::printf("%-15s %6u %10.3f %10.3f %10.3f %11.1f%% %10llu %10llu "
+                "%12llu %10llu\n",
+                mode.c_str(), batch, median, lo, hi, hitPct,
+                static_cast<unsigned long long>(d.refills),
+                static_cast<unsigned long long>(d.spills),
+                static_cast<unsigned long long>(d.casRetries),
+                static_cast<unsigned long long>(d.lockPath));
+    report.row()
+        .field("mode", mode)
+        .field("threads", p.threads)
+        .field("shards", p.shards)
+        .field("keys", p.numKeys)
+        .field("batch", batch)
+        .field("value_bytes", p.valueBytes)
+        .field("arenas", p.allocArenas)
+        .field("mops", median)
+        .field("mops_min", lo)
+        .field("mops_max", hi)
+        .field("alloc_fast_path_hits", d.fastPathHits)
+        .field("alloc_refills", d.refills)
+        .field("alloc_spills", d.spills)
+        .field("alloc_cas_retries", d.casRetries)
+        .field("alloc_lock_path", d.lockPath);
+}
 
 /** Preload numKeys ranks with p.valueBytes buffers (batched). */
 void
@@ -165,7 +223,7 @@ runChurn(store::ShardedStore &s, const Params &p)
  * thread drives epoch boundaries through the run. The store-level rows
  * above bury a few hundred nanoseconds of allocator work under ~3 µs of
  * tree put + persist; this point isolates the shared-list protocol the
- * two modes actually differ in.
+ * two modes actually differ in. Adds the run's counters to @p d.
  */
 double
 runDirect(const Params &p, bool locked, unsigned batch, AllocCounters *d)
@@ -249,7 +307,7 @@ runDirect(const Params &p, bool locked, unsigned batch, AllocCounters *d)
         w.join();
     stopAdvancer.store(true, std::memory_order_relaxed);
     advancer.join();
-    *d = AllocCounters::snapshot().since(before);
+    *d += AllocCounters::snapshot().since(before);
     alloc.drainLocalCaches();
 
     auto first = starts[0];
@@ -282,9 +340,12 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(p.opsPerThread), p.threads,
                 p.shards, p.batch, p.valueBytes, p.allocArenas,
                 p.allocArenas == 0 ? " (auto)" : "");
-    std::printf("%-15s %6s %10s %12s %10s %10s %12s %10s\n", "mode",
-                "batch", "Mops", "fastpath%", "refills", "spills",
-                "cas_retries", "lockpath");
+    std::printf("# Mops: median of %d runs, with their min and max; "
+                "counters summed over the runs\n",
+                kRuns);
+    std::printf("%-15s %6s %10s %10s %10s %12s %10s %10s %12s %10s\n",
+                "mode", "batch", "Mops", "min", "max", "fastpath%",
+                "refills", "spills", "cas_retries", "lockpath");
 
     // Two operating points per mode: per-op (the thread-cache fast
     // path) and batched (the O(1) segment transfers).
@@ -308,36 +369,12 @@ main(int argc, char **argv)
 
         const auto before = AllocCounters::snapshot();
         s.startTimer(run.epochInterval);
-        const double mops = runChurn(s, run);
+        std::vector<double> mops;
+        for (int i = 0; i < kRuns; ++i)
+            mops.push_back(runChurn(s, run));
         s.stopTimer();
-        const auto d = AllocCounters::snapshot().since(before);
-
-        const double hitPct =
-            d.allocs > 0 ? 100.0 * static_cast<double>(d.fastPathHits) /
-                               static_cast<double>(d.allocs)
-                         : 0.0;
-        const char *mode = locked ? "locked" : "lockfree";
-        std::printf("%-15s %6u %10.3f %11.1f%% %10llu %10llu %12llu "
-                    "%10llu\n",
-                    mode, batch, mops, hitPct,
-                    static_cast<unsigned long long>(d.refills),
-                    static_cast<unsigned long long>(d.spills),
-                    static_cast<unsigned long long>(d.casRetries),
-                    static_cast<unsigned long long>(d.lockPath));
-        report.row()
-            .field("mode", mode)
-            .field("threads", p.threads)
-            .field("shards", p.shards)
-            .field("keys", p.numKeys)
-            .field("batch", batch)
-            .field("value_bytes", p.valueBytes)
-            .field("arenas", p.allocArenas)
-            .field("mops", mops)
-            .field("alloc_fast_path_hits", d.fastPathHits)
-            .field("alloc_refills", d.refills)
-            .field("alloc_spills", d.spills)
-            .field("alloc_cas_retries", d.casRetries)
-            .field("alloc_lock_path", d.lockPath);
+        reportRow(report, p, locked ? "locked" : "lockfree", batch, mops,
+                  AllocCounters::snapshot().since(before));
         // Values are p.valueBytes, not ycsb::kValueBytes, so the
         // destroyWithValues teardown does not apply; the pools unmap
         // with the store.
@@ -348,34 +385,12 @@ main(int argc, char **argv)
     for (const bool locked : {false, true})
     for (const unsigned batch : batches) {
         AllocCounters d;
-        const double mops = runDirect(p, locked, batch, &d);
-        const double hitPct =
-            d.allocs > 0 ? 100.0 * static_cast<double>(d.fastPathHits) /
-                               static_cast<double>(d.allocs)
-                         : 0.0;
-        const std::string mode =
-            std::string(locked ? "locked" : "lockfree") + "_direct";
-        std::printf("%-15s %6u %10.3f %11.1f%% %10llu %10llu %12llu "
-                    "%10llu\n",
-                    mode.c_str(), batch, mops, hitPct,
-                    static_cast<unsigned long long>(d.refills),
-                    static_cast<unsigned long long>(d.spills),
-                    static_cast<unsigned long long>(d.casRetries),
-                    static_cast<unsigned long long>(d.lockPath));
-        report.row()
-            .field("mode", mode)
-            .field("threads", p.threads)
-            .field("shards", p.shards)
-            .field("keys", p.numKeys)
-            .field("batch", batch)
-            .field("value_bytes", p.valueBytes)
-            .field("arenas", p.allocArenas)
-            .field("mops", mops)
-            .field("alloc_fast_path_hits", d.fastPathHits)
-            .field("alloc_refills", d.refills)
-            .field("alloc_spills", d.spills)
-            .field("alloc_cas_retries", d.casRetries)
-            .field("alloc_lock_path", d.lockPath);
+        std::vector<double> mops;
+        for (int i = 0; i < kRuns; ++i)
+            mops.push_back(runDirect(p, locked, batch, &d));
+        reportRow(report, p,
+                  std::string(locked ? "locked" : "lockfree") + "_direct",
+                  batch, mops, d);
     }
     return 0;
 }

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -96,7 +97,7 @@ class JsonReport
 
     /** @p path empty = disabled (rows are collected but never written). */
     JsonReport(std::string path, std::string_view bench)
-        : path_(std::move(path)), bench_(bench)
+        : path_(std::move(path)), bench_(bench), thp_(thpMode())
     {
     }
 
@@ -107,12 +108,18 @@ class JsonReport
 
     bool enabled() const { return !path_.empty(); }
 
-    /** Start a new row; every row carries a "bench" field. */
+    /**
+     * Start a new row. Every row carries a "bench" field and a "thp"
+     * field naming the transparent-huge-page mode the run had, so a
+     * comparison never matches rows from two page modes.
+     */
     Row
     row()
     {
         rows_.emplace_back("{\"bench\": \"" + bench_ + "\"");
-        return Row(this, rows_.size() - 1);
+        Row r(this, rows_.size() - 1);
+        r.field("thp", thp_);
+        return r;
     }
 
     /** Write the report (idempotent; also run by the destructor). */
@@ -138,8 +145,24 @@ class JsonReport
   private:
     friend class Row;
 
+    /** The bracketed (active) token of the kernel's THP `enabled`
+     *  setting, or "unavailable" without transparent huge pages. */
+    static std::string
+    thpMode()
+    {
+        std::ifstream in("/sys/kernel/mm/transparent_hugepage/enabled");
+        std::string line;
+        std::getline(in, line);
+        const auto open = line.find('[');
+        const auto close = line.find(']', open);
+        if (open == std::string::npos || close == std::string::npos)
+            return "unavailable";
+        return line.substr(open + 1, close - open - 1);
+    }
+
     std::string path_;
     std::string bench_;
+    std::string thp_;
     std::vector<std::string> rows_;
     bool written_ = false;
 };

@@ -6,7 +6,7 @@
 
 #include <atomic>
 #include <cassert>
-#include <new>
+#include <utility>
 
 namespace incll {
 
@@ -16,12 +16,6 @@ std::atomic<std::uint32_t> gNextArena{0};
 thread_local std::uint32_t tlArena = UINT32_MAX;
 
 } // namespace
-
-PoolAllocator::~PoolAllocator()
-{
-    for (char *slab : slabs_)
-        ::operator delete[](slab, std::align_val_t{64});
-}
 
 std::uint32_t
 PoolAllocator::arenaOfThisThread()
@@ -42,11 +36,11 @@ PoolAllocator::alloc(std::size_t bytes)
         // Carve a fresh slab into objects of this class.
         const std::size_t stride = SizeClasses::bytesOf(cls);
         const std::size_t count = slabBytes_ / stride;
-        char *slab = static_cast<char *>(
-            ::operator new[](slabBytes_, std::align_val_t{64}));
+        nvm::Mapping mapping = nvm::mapZeroed(slabBytes_);
+        char *slab = mapping.get();
         {
             std::lock_guard<SpinLock> slabGuard(slabsLock_);
-            slabs_.push_back(slab);
+            slabs_.push_back(std::move(mapping));
         }
         for (std::size_t i = count; i-- > 0;) {
             void *obj = slab + i * stride;

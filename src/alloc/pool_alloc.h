@@ -6,7 +6,9 @@
  *   MT    — unmodified Masstree, heap allocation (jemalloc there,
  *           malloc here): MallocAllocator.
  *   MT+   — Masstree with an mmap-backed pool allocator: PoolAllocator
- *           (size-class free lists carved from large slabs).
+ *           (size-class free lists carved from slabs mapped like the
+ *           durable pools, nvm/mapping.h, so MT+ and INCLL both run
+ *           on 2 MiB pages).
  *   INCLL — the durable tree with the DurableAllocator.
  *
  * PoolAllocator reuses the freed object's first word as the free-list
@@ -21,6 +23,7 @@
 
 #include "alloc/durable_alloc.h" // SizeClasses
 #include "common/spinlock.h"
+#include "nvm/mapping.h"
 
 namespace incll {
 
@@ -46,12 +49,11 @@ class PoolAllocator
   public:
     static constexpr std::uint32_t kArenas = 8;
 
-    explicit PoolAllocator(std::size_t slabBytes = 1u << 20)
+    /** @p slabBytes: the default slab is one 2 MiB huge page. */
+    explicit PoolAllocator(std::size_t slabBytes = nvm::kHugePageSize)
         : slabBytes_(slabBytes)
     {
     }
-
-    ~PoolAllocator();
 
     PoolAllocator(const PoolAllocator &) = delete;
     PoolAllocator &operator=(const PoolAllocator &) = delete;
@@ -74,7 +76,7 @@ class PoolAllocator
     std::size_t slabBytes_;
     Arena arenas_[kArenas];
     SpinLock slabsLock_;
-    std::vector<char *> slabs_;
+    std::vector<nvm::Mapping> slabs_;
 };
 
 } // namespace incll

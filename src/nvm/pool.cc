@@ -5,7 +5,6 @@
 #include "nvm/pool.h"
 
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -114,17 +113,14 @@ Pool::Pool(std::size_t bytes, Mode mode, std::uint64_t seed)
     assert(size_ > kHeapOffset && "pool too small for meta + root area");
     numLines_ = size_ / kCacheLineSize;
 
-    // Page-align the region so rawAlloc can honour alignment requests
-    // up to 4096 (offsets are aligned relative to the base).
-    void *mem = nullptr;
-    if (posix_memalign(&mem, 4096, size_) != 0)
-        throw std::bad_alloc();
-    primary_ = static_cast<char *>(mem);
-    std::memset(primary_, 0, size_);
+    // Both regions start 2 MiB-aligned (rawAlloc aligns offsets relative
+    // to the base) and arrive zeroed: the kernel zeroes each page at its
+    // first touch, so nothing is written here and the resident size
+    // grows with what rawAlloc hands out.
+    primary_ = mapZeroed(size_);
 
     if (mode_ == Mode::kTracked) {
-        shadow_ = std::make_unique<char[]>(size_);
-        std::memset(shadow_.get(), 0, size_);
+        shadow_ = mapZeroed(size_);
         const std::size_t words = (numLines_ + 63) / 64;
         dirty_ = std::make_unique<std::atomic<std::uint64_t>[]>(words);
         for (std::size_t i = 0; i < words; ++i)
@@ -134,7 +130,7 @@ Pool::Pool(std::size_t bytes, Mode mode, std::uint64_t seed)
     // Durable bump cursor lives in the meta line at offset 0.
     const std::uint64_t initialCursor = kHeapOffset;
     cursor_.store(initialCursor, std::memory_order_relaxed);
-    std::memcpy(primary_, &initialCursor, sizeof(initialCursor));
+    std::memcpy(primary_.get(), &initialCursor, sizeof(initialCursor));
     if (mode_ == Mode::kTracked)
         std::memcpy(shadow_.get(), &initialCursor, sizeof(initialCursor));
 }
@@ -151,7 +147,6 @@ Pool::~Pool()
                   [this](const auto &e) { return e.first == this; });
     std::erase_if(tlAdversaryCoins,
                   [this](const auto &e) { return e.poolGen == gen_; });
-    std::free(primary_);
 }
 
 std::size_t
@@ -184,13 +179,13 @@ Pool::rawAlloc(std::size_t bytes, std::size_t align)
     {
         std::lock_guard<SpinLock> guard(cursorPersistLock_);
         const std::uint64_t cur = cursor_.load(std::memory_order_relaxed);
-        std::memcpy(primary_, &cur, sizeof(cur));
-        onStore(primary_, sizeof(cur));
-        clwb(primary_);
+        std::memcpy(primary_.get(), &cur, sizeof(cur));
+        onStore(primary_.get(), sizeof(cur));
+        clwb(primary_.get());
         sfence();
     }
 
-    char *block = primary_ + base;
+    char *block = primary_.get() + base;
     pmemset(block, 0, bytes);
     return block;
 }
@@ -242,7 +237,7 @@ Pool::writebackLine(std::size_t lineIdx)
     // stores are never torn, and interleaving at word granularity is
     // exactly the nondeterminism real cache write-back exhibits.
     auto *src = reinterpret_cast<const std::uint64_t *>(
-        primary_ + lineIdx * kCacheLineSize);
+        primary_.get() + lineIdx * kCacheLineSize);
     auto *dst = reinterpret_cast<std::uint64_t *>(
         shadow_.get() + lineIdx * kCacheLineSize);
     for (std::size_t w = 0; w < kCacheLineSize / sizeof(std::uint64_t); ++w)
@@ -384,7 +379,7 @@ Pool::crash(double extraEvictionProbability)
 
     // Everything still in "cache" is lost; memory now shows the durable
     // image, exactly what a restarted process would map from NVM.
-    std::memcpy(primary_, shadow_.get(), size_);
+    std::memcpy(primary_.get(), shadow_.get(), size_);
     const std::size_t words = (numLines_ + 63) / 64;
     for (std::size_t w = 0; w < words; ++w)
         dirty_[w].store(0, std::memory_order_relaxed);
@@ -393,7 +388,7 @@ Pool::crash(double extraEvictionProbability)
 
     // Reload the transient copy of the durable bump cursor.
     std::uint64_t cur;
-    std::memcpy(&cur, primary_, sizeof(cur));
+    std::memcpy(&cur, primary_.get(), sizeof(cur));
     cursor_.store(cur, std::memory_order_relaxed);
 }
 

@@ -49,6 +49,7 @@
 #include "common/spinlock.h"
 #include "common/stats.h"
 #include "nvm/latency.h"
+#include "nvm/mapping.h"
 
 namespace incll::nvm {
 
@@ -69,7 +70,9 @@ class Pool
     static constexpr std::size_t kRootAreaSize = 8192;
 
     /**
-     * Create a pool of @p bytes of durable memory.
+     * Create a pool of @p bytes of durable memory. Each region is one
+     * mapZeroed() mapping (nvm/mapping.h): 2 MiB-aligned, advised for
+     * huge pages, zeroed by the kernel and faulted on first touch.
      *
      * @param bytes total capacity, including the root area.
      * @param mode  kTracked for crash-testable pools, kDirect for speed.
@@ -83,7 +86,7 @@ class Pool
 
     Mode mode() const { return mode_; }
     std::size_t size() const { return size_; }
-    char *base() const { return primary_; }
+    char *base() const { return primary_.get(); }
 
     /** Emulated latency knobs (may be changed between runs). */
     LatencyModel &latency() { return latency_; }
@@ -93,14 +96,14 @@ class Pool
      * word, tree root pointer, allocator list heads...). The application
      * is responsible for persisting it like any other durable memory.
      */
-    void *rootArea() const { return primary_ + kRootAreaOffset; }
+    void *rootArea() const { return primary_.get() + kRootAreaOffset; }
 
     /** True iff @p p points into this pool's primary region. */
     bool
     contains(const void *p) const
     {
         const auto a = reinterpret_cast<std::uintptr_t>(p);
-        const auto b = reinterpret_cast<std::uintptr_t>(primary_);
+        const auto b = reinterpret_cast<std::uintptr_t>(primary_.get());
         return a >= b && a < b + size_;
     }
 
@@ -190,7 +193,7 @@ class Pool
     durableRead(const T *p) const
     {
         const auto off =
-            reinterpret_cast<const char *>(p) - primary_;
+            reinterpret_cast<const char *>(p) - primary_.get();
         T out;
         __builtin_memcpy(&out, shadow_.get() + off, sizeof(T));
         return out;
@@ -206,15 +209,15 @@ class Pool
     std::size_t
     lineIndexOf(const void *p) const
     {
-        return (reinterpret_cast<const char *>(p) - primary_) /
+        return (reinterpret_cast<const char *>(p) - primary_.get()) /
                kCacheLineSize;
     }
 
     Mode mode_;
     std::size_t size_;
     std::size_t numLines_;
-    char *primary_ = nullptr;
-    std::unique_ptr<char[]> shadow_;
+    Mapping primary_;
+    Mapping shadow_; ///< tracked mode only
     std::unique_ptr<std::atomic<std::uint64_t>[]> dirty_;
 
     LatencyModel latency_;

@@ -9,7 +9,7 @@ namespace incll::store {
 // The store layer keeps its durable placement metadata (base record,
 // boundary slots, migration record, pool id + topology slots) in the
 // tail of the pool root area; the masstree layer's DurableRoot grows
-// from the head. They share the 4 KiB area, so neither may reach the
+// from the head. They share the 8 KiB area, so neither may reach the
 // other.
 static_assert(sizeof(mt::DurableRoot) <=
                   nvm::Pool::kRootAreaSize - kTopologyAreaBytes,

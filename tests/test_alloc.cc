@@ -265,6 +265,18 @@ TEST(PoolAllocatorTest, AllocFreeReuse)
     EXPECT_EQ(alloc.alloc(100), a);
 }
 
+TEST(PoolAllocatorTest, DefaultSlabsAre2MiBAligned)
+{
+    PoolAllocator alloc;
+    // The first object of a class is the start of that class's slab.
+    for (std::uint32_t c = 0; c < SizeClasses::kNumClasses; ++c) {
+        const void *p = alloc.alloc(SizeClasses::bytesOf(c));
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % nvm::kHugePageSize,
+                  0u)
+            << "class " << c;
+    }
+}
+
 TEST(MallocAllocatorTest, Basic)
 {
     MallocAllocator alloc;

@@ -208,6 +208,19 @@ TEST(DirectPool, PersistOpsAreCountedNoops)
     EXPECT_EQ(pool.dirtyLineCount(), 0u);
 }
 
+TEST(PoolMapping, BothModesAre2MiBAlignedAndRefusalsThrow)
+{
+    for (const Mode mode : {Mode::kDirect, Mode::kTracked}) {
+        Pool pool(1u << 20, mode);
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(pool.base()) %
+                      kHugePageSize,
+                  0u);
+        // Far beyond any address space: the kernel refuses the mapping
+        // at once, without touching memory.
+        EXPECT_THROW(Pool(std::size_t{1} << 52, mode), std::bad_alloc);
+    }
+}
+
 TEST(DirectPool, SfenceLatencyEmulation)
 {
     Pool pool(1u << 16, Mode::kDirect);

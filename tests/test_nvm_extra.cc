@@ -2,11 +2,19 @@
  * @file
  * Additional NVM-substrate tests: flushRange coverage, store-spanning
  * lines, adversary behaviour under parameter sweeps, pool independence,
- * and alignment guarantees of rawAlloc.
+ * alignment guarantees of rawAlloc, and the pool's mapping (pages
+ * faulted on first touch, huge-page advice, the guard page).
  */
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -202,6 +210,62 @@ TEST(PoolLimits, ContainsBoundaries)
     EXPECT_FALSE(pool.contains(pool.base() + pool.size()));
     int x;
     EXPECT_FALSE(pool.contains(&x));
+}
+
+TEST(PoolMapping, UntouchedPagesAreNotResidentAndReadZero)
+{
+    constexpr std::size_t kBytes = std::size_t{64} << 20;
+    constexpr std::size_t kTouched = std::size_t{8} << 20;
+    {
+        Pool pool(kBytes, Mode::kDirect);
+        pool.rawAlloc(std::size_t{1} << 20);
+        const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+        const std::size_t len = pool.size() - kTouched;
+        std::vector<unsigned char> pages((len + page - 1) / page);
+        ASSERT_EQ(mincore(pool.base() + kTouched, len, pages.data()), 0);
+        EXPECT_EQ(std::count_if(pages.begin(), pages.end(),
+                                [](unsigned char v) { return v & 1; }),
+                  0);
+    }
+    // Reading faults pages in, so zeroes are checked on a second pool.
+    // Only the durable cursor word at offset 0 is non-zero.
+    Pool pool(kBytes, Mode::kDirect);
+    const char *p = pool.base() + sizeof(std::uint64_t);
+    const char *end = pool.base() + pool.size();
+    EXPECT_EQ(std::find_if(p, end, [](char c) { return c != 0; }), end);
+}
+
+TEST(PoolMapping, BaseVmaIsHugePageAdvised)
+{
+    if (access("/sys/kernel/mm/transparent_hugepage", F_OK) != 0)
+        GTEST_SKIP() << "kernel without transparent huge pages";
+    Pool pool(std::size_t{8} << 20, Mode::kDirect);
+    const auto base = reinterpret_cast<std::uintptr_t>(pool.base());
+    std::ifstream smaps("/proc/self/smaps");
+    std::string line;
+    bool inBaseVma = false;
+    std::vector<std::string> flags;
+    while (std::getline(smaps, line)) {
+        unsigned long lo = 0, hi = 0;
+        if (std::sscanf(line.c_str(), "%lx-%lx ", &lo, &hi) == 2) {
+            inBaseVma = lo <= base && base < hi;
+        } else if (inBaseVma && line.rfind("VmFlags:", 0) == 0) {
+            std::istringstream in(line.substr(8));
+            for (std::string f; in >> f;)
+                flags.push_back(f);
+            break;
+        }
+    }
+    ASSERT_FALSE(flags.empty()) << "no VmFlags for the pool's VMA";
+    EXPECT_NE(std::find(flags.begin(), flags.end(), "hg"), flags.end());
+}
+
+TEST(PoolMappingDeathTest, StorePastTheMappedEndFaults)
+{
+    // A whole number of pages: the pool's end is the mapping's end.
+    Pool pool(1u << 20, Mode::kDirect);
+    volatile char *pastEnd = pool.base() + pool.size();
+    EXPECT_DEATH(*pastEnd = 1, "");
 }
 
 TEST(PoolDeterminism, SameSeedSameCrashImage)
