@@ -5,10 +5,8 @@
  * Every op replaces a preloaded key's value buffer — one durable
  * allocation plus one free per op, issued through the batched store API
  * so a batch of N puts against one shard costs O(1) shared-list
- * operations in the allocator's lock-free mode. The same operating
- * point runs twice, once per allocator mode (lock-free fast path vs the
- * original spin-locked lists), and reports throughput plus the
- * allocator's own counters: fast-path hits (thread-cache pops), refills
+ * operations. Each row reports throughput plus the allocator's own
+ * counters: fast-path hits (thread-cache pops), refills
  * (segment pops off the shared list), spills (chain pushes), CAS
  * retries (head DWCAS contention) and lock-path falls (cache try-lock
  * misses).
@@ -17,11 +15,12 @@
  * values (--value-bytes) — the configuration scripts/bench.sh records
  * into BENCH_alloc.json.
  *
- * A second set of rows (mode *_direct) drives a bare DurableAllocator
- * with no tree in front — the store path buries the allocator delta
- * under microseconds of tree put + persist work, the direct path shows
- * it. --alloc-arenas caps the arena count so more threads than arenas
- * share lists (the contended case the lock-free path exists for).
+ * A second set of rows (mode lockfree_direct) drives a bare
+ * DurableAllocator with no tree in front — the store path buries the
+ * allocator's cost under microseconds of tree put + persist work, the
+ * direct path shows it. --alloc-arenas caps the arena count so more
+ * threads than arenas share lists (the contended case the lock-free
+ * path exists for).
  *
  * Usage: alloc_churn [--paper|--keys N --ops N --threads N]
  *                    [--shards N --batch N --value-bytes N]
@@ -222,11 +221,11 @@ runChurn(store::ShardedStore &s, const Params &p)
  * alloc + one free against a bare DurableAllocator while an advancer
  * thread drives epoch boundaries through the run. The store-level rows
  * above bury a few hundred nanoseconds of allocator work under ~3 µs of
- * tree put + persist; this point isolates the shared-list protocol the
- * two modes actually differ in. Adds the run's counters to @p d.
+ * tree put + persist; this point isolates the allocator's own
+ * protocol. Adds the run's counters to @p d.
  */
 double
-runDirect(const Params &p, bool locked, unsigned batch, AllocCounters *d)
+runDirect(const Params &p, unsigned batch, AllocCounters *d)
 {
     nvm::Pool pool(std::size_t{1} << 29, nvm::Mode::kDirect);
     auto *area = static_cast<char *>(pool.rootArea());
@@ -235,8 +234,7 @@ runDirect(const Params &p, bool locked, unsigned batch, AllocCounters *d)
     EpochManager epochs(pool, epochWord, failedRec, true);
     DurableAllocator alloc(pool, epochs,
                            reinterpret_cast<std::uint64_t *>(area + 8),
-                           true, p.allocArenas, std::size_t{1} << 20,
-                           !locked);
+                           true, p.allocArenas, std::size_t{1} << 20);
 
     // The advancer paces epoch boundaries, which are also when pending
     // frees recycle. Pure time-based pacing can fall behind the churn
@@ -347,15 +345,13 @@ main(int argc, char **argv)
                 "mode", "batch", "Mops", "min", "max", "fastpath%",
                 "refills", "spills", "cas_retries", "lockpath");
 
-    // Two operating points per mode: per-op (the thread-cache fast
-    // path) and batched (the O(1) segment transfers).
+    // Two operating points: per-op (the thread-cache fast path) and
+    // batched (the O(1) segment transfers).
     std::vector<unsigned> batches{1};
     if (p.batch > 1)
         batches.push_back(p.batch);
-    for (const bool locked : {false, true})
     for (const unsigned batch : batches) {
         Params run = p;
-        run.allocLocked = locked;
         run.batch = batch;
         auto opts = storeOptionsFor(run);
         // Value buffers dominate the footprint at large --value-bytes;
@@ -373,24 +369,21 @@ main(int argc, char **argv)
         for (int i = 0; i < kRuns; ++i)
             mops.push_back(runChurn(s, run));
         s.stopTimer();
-        reportRow(report, p, locked ? "locked" : "lockfree", batch, mops,
+        reportRow(report, p, "lockfree", batch, mops,
                   AllocCounters::snapshot().since(before));
         // Values are p.valueBytes, not ycsb::kValueBytes, so the
         // destroyWithValues teardown does not apply; the pools unmap
         // with the store.
     }
 
-    // Direct allocator rows: the same mode/batch grid without the tree
-    // in front, so the mode delta is visible above machine noise.
-    for (const bool locked : {false, true})
+    // Direct allocator rows: the same batch points without the tree in
+    // front, so the allocator's cost is visible above machine noise.
     for (const unsigned batch : batches) {
         AllocCounters d;
         std::vector<double> mops;
         for (int i = 0; i < kRuns; ++i)
-            mops.push_back(runDirect(p, locked, batch, &d));
-        reportRow(report, p,
-                  std::string(locked ? "locked" : "lockfree") + "_direct",
-                  batch, mops, d);
+            mops.push_back(runDirect(p, batch, &d));
+        reportRow(report, p, "lockfree_direct", batch, mops, d);
     }
     return 0;
 }

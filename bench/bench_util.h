@@ -79,8 +79,6 @@ struct Params
     unsigned mergeMaxMb = 32;
     /** Record per-op store latency histograms (fig3, latency studies). */
     bool recordOpLatency = false;
-    /** Use the allocator's original spin-locked lists (baseline). */
-    bool allocLocked = false;
     /** Allocator arenas per shard (0 = auto-size from hardware). Small
      *  counts force threads to share lists — the contended case. */
     unsigned allocArenas = 0;
@@ -99,6 +97,16 @@ struct Params
     static Params
     parse(int argc, char **argv)
     {
+        static constexpr const char *kUsage =
+            "flags: --paper --keys N --ops N --threads N "
+            "--shards N --placement hash|range "
+            "--epoch-ms N --async-epochs "
+            "--service-threads N --backpressure-mb N "
+            "--adaptive-debt-mb N "
+            "--batch N --rebalance --rebalance-ms N "
+            "--rebalance-skew F --hotspot-shift-ops N "
+            "--elastic --cold-ops N --merge-max-mb N "
+            "--alloc-arenas N --value-bytes N --json PATH\n";
         Params p;
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
@@ -173,8 +181,6 @@ struct Params
                     std::strtoul(next(), nullptr, 10));
                 if (p.mergeMaxMb == 0)
                     p.mergeMaxMb = 1;
-            } else if (arg == "--alloc-locked") {
-                p.allocLocked = true;
             } else if (arg == "--alloc-arenas") {
                 p.allocArenas = static_cast<unsigned>(
                     std::strtoul(next(), nullptr, 10));
@@ -185,17 +191,12 @@ struct Params
             } else if (arg == "--json") {
                 p.jsonPath = next();
             } else if (arg == "--help") {
-                std::printf("flags: --paper --keys N --ops N --threads N "
-                            "--shards N --placement hash|range "
-                            "--epoch-ms N --async-epochs "
-                            "--service-threads N --backpressure-mb N "
-                            "--adaptive-debt-mb N "
-                            "--batch N --rebalance --rebalance-ms N "
-                            "--rebalance-skew F --hotspot-shift-ops N "
-                            "--elastic --cold-ops N --merge-max-mb N "
-                            "--alloc-locked --alloc-arenas N "
-                            "--value-bytes N --json PATH\n");
+                std::fputs(kUsage, stdout);
                 std::exit(0);
+            } else {
+                std::fprintf(stderr, "unknown flag %s\n%s", arg.c_str(),
+                             kUsage);
+                std::exit(2);
             }
         }
         if (p.backpressureMb > 0 && (p.batch <= 1 || !p.asyncEpochs))
@@ -277,7 +278,6 @@ storeOptionsFor(const Params &p, bool inCllEnabled = true)
     o.config.placement = store::placementKindFromString(p.placement);
     o.config.trackHotness = p.rebalance;
     o.config.recordOpLatency = p.recordOpLatency;
-    o.config.allocLockFree = !p.allocLocked;
     o.config.allocArenas = p.allocArenas;
     if (o.config.placement == store::PlacementKind::kRange && p.shards > 1)
         o.config.rangeBoundaries =

@@ -79,6 +79,12 @@ struct LgArgs
     static LgArgs
     parse(int argc, char **argv)
     {
+        static constexpr const char *kUsage =
+            "flags: --port N --connections N --pipeline N "
+            "--rate R --ops N --keys N --read-pct P --multi M "
+            "--value-bytes N --slo-us N --seed N --baseline "
+            "--shards N --placement hash|range --batch N "
+            "--crash-drill --stats --json PATH\n";
         LgArgs a;
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
@@ -142,13 +148,12 @@ struct LgArgs
             } else if (arg == "--json") {
                 a.jsonPath = next();
             } else if (arg == "--help") {
-                std::printf(
-                    "flags: --port N --connections N --pipeline N "
-                    "--rate R --ops N --keys N --read-pct P --multi M "
-                    "--value-bytes N --slo-us N --seed N --baseline "
-                    "--shards N --placement hash|range --batch N "
-                    "--crash-drill --stats --json PATH\n");
+                std::fputs(kUsage, stdout);
                 std::exit(0);
+            } else {
+                std::fprintf(stderr, "unknown flag %s\n%s", arg.c_str(),
+                             kUsage);
+                std::exit(2);
             }
         }
         return a;

@@ -131,11 +131,11 @@ run rebalance        BENCH_rebalance.json --shards 4 --ops 100000 \
 # + commit-pause percentiles land in the JSON.
 run elasticity       BENCH_elasticity.json --shards 4 --ops 100000 \
                      --rebalance-ms 5
-# Allocator hot path: 100%-update batched churn with larger values, run
-# in both allocator modes by the binary itself (lockfree vs locked rows
-# with fast-path/CAS-retry counters; *_direct rows hit the allocator
-# without the tree in front). More threads than arenas — shared-list
-# contention is what the lock-free path exists for.
+# Allocator hot path: 100%-update batched churn with larger values
+# (lockfree rows through the store, lockfree_direct rows hitting the
+# allocator without the tree in front; each with fast-path/CAS-retry
+# counters). More threads than arenas — shared-list contention is what
+# the lock-free path exists for.
 run alloc_churn      BENCH_alloc.json --threads 8 --alloc-arenas 2 \
                      --value-bytes 512 --batch 64 --epoch-ms 2
 

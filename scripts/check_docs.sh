@@ -83,10 +83,10 @@ check_roster() { # check_roster PARSER_FILE FLAGS...
 }
 check_roster bench/bench_util.h \
   --rebalance --rebalance-ms --rebalance-skew --hotspot-shift-ops \
-  --adaptive-debt-mb --alloc-locked --alloc-arenas --value-bytes
+  --adaptive-debt-mb --alloc-arenas --value-bytes
 check_roster src/server/main.cc \
   --port --shards --io-threads --exec-threads \
-  --async-epochs --allow-crash --alloc-locked \
+  --async-epochs --allow-crash \
   --slow-op-us --stats-sample-ms --record-op-latency
 check_roster bench/loadgen.cc \
   --connections --pipeline --rate --multi --slo-us --baseline \

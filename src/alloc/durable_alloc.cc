@@ -1,14 +1,11 @@
 /**
  * @file
- * Durable allocator implementation.
- *
- * Two modes share one durable format (see the header): the original
- * spin-locked lists, and the lock-free fast path (per-thread caches and
- * staged frees + version-guarded segment CASes on the shared lists).
- * Lock-free-mode stores to durable words go through small atomic
- * wrappers (storeW / loadW) so optimistic list walks are data-race-free;
- * the locked mode keeps plain nvm::pstore where the lock already orders
- * everything.
+ * Durable allocator implementation: per-thread caches and staged frees
+ * in front of version-guarded segment CASes on the shared lists (see
+ * the header). Stores to durable words on the concurrent paths go
+ * through small atomic wrappers (storeW / loadW) so optimistic list
+ * walks are data-race-free; plain nvm::pstore remains only in the
+ * single-threaded init and recovery.
  */
 #include "alloc/durable_alloc.h"
 
@@ -146,8 +143,8 @@ class DurableAllocator::DrainPin
 DurableAllocator::DurableAllocator(nvm::Pool &pool, EpochManager &epochs,
                                    std::uint64_t *statePtrSlot, bool fresh,
                                    std::uint32_t numArenas,
-                                   std::size_t slabBytes, bool lockFree)
-    : pool_(pool), epochs_(epochs), lockFree_(lockFree)
+                                   std::size_t slabBytes)
+    : pool_(pool), epochs_(epochs)
 {
     if (numArenas == 0) {
         // Auto-size: one arena per hardware thread, within the table.
@@ -184,7 +181,7 @@ DurableAllocator::DurableAllocator(nvm::Pool &pool, EpochManager &epochs,
     numArenas_ = state_->numArenas;
     slabBytes_ = state_->slabBytes;
 
-    // Transient lock-free state: one in-line-log claim word per record
+    // Transient state: one in-line-log claim word per record
     // (initialised "already logged" for each record's stamped epoch),
     // empty thread caches, unassigned arena slots.
     const std::size_t numRecords =
@@ -301,22 +298,6 @@ DurableAllocator::arenaOfThisThread()
             a = expect; // another thread sharing the slot won; follow it
     }
     return a;
-}
-
-void
-DurableAllocator::logHeadInCLL(HeadRecord &rec)
-{
-    const std::uint64_t epoch = epochs_.writeEpoch();
-    if (rec.epoch == epoch)
-        return; // already logged this epoch
-    // In-cache-line log: old values first, then the epoch stamp; the
-    // release fence orders the same-line stores (PCSO granularity rule),
-    // and the caller's head/tail writes follow the second fence.
-    nvm::pstore(rec.headInCLL, rec.head);
-    nvm::pstore(rec.tailInCLL, rec.tail);
-    std::atomic_thread_fence(std::memory_order_release);
-    nvm::pstore(rec.epoch, epoch);
-    std::atomic_thread_fence(std::memory_order_release);
 }
 
 void
@@ -452,123 +433,6 @@ DurableAllocator::resolveNext(const ObjectHeader *o) const
         return PackedWord::pointer(inCll);
     return PackedWord::pointer(next);
 }
-
-// ---------------------------------------------------------------------
-// Locked mode (the original design, kept as the measurable baseline).
-// ---------------------------------------------------------------------
-
-void
-DurableAllocator::refillLocked(std::uint32_t arena, std::uint32_t slot)
-{
-    const std::size_t stride = slotStride(slot);
-    const std::size_t headerOff = slotPayloadOffset(slot) - kHeaderSize;
-    const std::size_t count = slabBytes_ / stride;
-    assert(count >= 1);
-    char *slab = static_cast<char *>(
-        pool_.rawAlloc(count * stride, slotAligned(slot) ? 64 : 16));
-
-    HeadRecord &fr = headOf(arena, slot, kFree);
-    logHeadInCLL(fr);
-
-    // Chain the fresh objects; the last one points at the current head.
-    void *tailNext = reinterpret_cast<void *>(fr.head);
-    const auto epoch32 =
-        static_cast<std::uint32_t>(epochs_.writeEpoch());
-    for (std::size_t i = count; i-- > 0;) {
-        auto *o = reinterpret_cast<ObjectHeader *>(slab + i * stride +
-                                                   headerOff);
-        void *next =
-            (i + 1 < count)
-                ? static_cast<void *>(slab + (i + 1) * stride + headerOff)
-                : tailNext;
-        // Fresh headers: both words carry the same pointer and matching
-        // counters, so a rollback of this epoch restores `next` to the
-        // value it already has (the slab is simply unreachable again).
-        nvm::pstore(o->nextInCLL,
-                    PackedWord::pack(
-                        next, static_cast<std::uint16_t>(epoch32 & 0xffff),
-                        0));
-        nvm::pstore(o->next,
-                    PackedWord::pack(
-                        next, static_cast<std::uint16_t>(epoch32 >> 16),
-                        0));
-    }
-    nvm::pstore(fr.head,
-                reinterpret_cast<std::uint64_t>(slab + headerOff));
-}
-
-void *
-DurableAllocator::allocSlotLocked(std::uint32_t slot)
-{
-    const std::uint32_t arena = arenaOfThisThread();
-    DrainPin pin(*this);
-    std::lock_guard<SpinLock> guard(lockOf(arena, slot));
-
-    HeadRecord &fr = headOf(arena, slot, kFree);
-    if (INCLL_UNLIKELY(fr.head == 0))
-        refillLocked(arena, slot);
-
-    auto *o = reinterpret_cast<ObjectHeader *>(fr.head);
-    recoverObjectHeader(o);
-    logHeadInCLL(fr);
-    nvm::pstore(fr.head,
-                reinterpret_cast<std::uint64_t>(
-                    PackedWord::pointer(o->next)));
-
-    globalStats().add(Stat::kAllocs);
-    return reinterpret_cast<char *>(o) + kHeaderSize;
-}
-
-void
-DurableAllocator::freeSlotLocked(std::uint32_t slot, void *p)
-{
-    const std::uint32_t arena = arenaOfThisThread();
-    DrainPin pin(*this);
-    std::lock_guard<SpinLock> guard(lockOf(arena, slot));
-
-    auto *o = reinterpret_cast<ObjectHeader *>(
-        static_cast<char *>(p) - kHeaderSize);
-    HeadRecord &pr = headOf(arena, slot, kPending);
-    logHeadInCLL(pr);
-    writeObjectNext(o, reinterpret_cast<void *>(pr.head));
-    nvm::pstore(pr.head, reinterpret_cast<std::uint64_t>(o));
-    if (pr.tail == 0)
-        nvm::pstore(pr.tail, reinterpret_cast<std::uint64_t>(o));
-
-    globalStats().add(Stat::kFrees);
-}
-
-void
-DurableAllocator::promotePendingLocked()
-{
-    // Runs as an epoch-advance hook, under the exclusive gate and the
-    // closed drain fence, after the global flush: every pending object's
-    // free was checkpointed, so the pending list may now feed
-    // allocations (EBR rule).
-    for (std::uint32_t arena = 0; arena < numArenas_; ++arena) {
-        for (std::uint32_t slot = 0; slot < kNumSlots; ++slot) {
-            // No list operation is in flight (the fence is closed); the
-            // lock keeps the locked mode's own invariant.
-            std::lock_guard<SpinLock> guard(lockOf(arena, slot));
-            HeadRecord &pr = headOf(arena, slot, kPending);
-            if (pr.head == 0)
-                continue;
-            HeadRecord &fr = headOf(arena, slot, kFree);
-            auto *tail = reinterpret_cast<ObjectHeader *>(pr.tail);
-            recoverObjectHeader(tail);
-            logHeadInCLL(fr);
-            logHeadInCLL(pr);
-            writeObjectNext(tail, reinterpret_cast<void *>(fr.head));
-            nvm::pstore(fr.head, pr.head);
-            nvm::pstore(pr.head, std::uint64_t{0});
-            nvm::pstore(pr.tail, std::uint64_t{0});
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Lock-free mode.
-// ---------------------------------------------------------------------
 
 /**
  * Holds a thread cache's busy flag for a scope. With @p fenceOpen the
@@ -851,7 +715,7 @@ DurableAllocator::freeLF(std::uint32_t slot, void *const *ps, std::size_t n)
 }
 
 void
-DurableAllocator::promotePendingLF(std::uint64_t newEpoch)
+DurableAllocator::promotePending(std::uint64_t newEpoch)
 {
     // Runs as an epoch-advance hook. The prepare hook closed the drain
     // fence before the global flush, so no shared-list operation is in
@@ -888,8 +752,6 @@ DurableAllocator::drainClose()
     for (std::uint32_t s = 0; s < kMaxThreadSlots; ++s)
         while (drainPins_[s].pins.load(std::memory_order_acquire) != 0)
             backoff.pause();
-    if (!lockFree_)
-        return;
     // Push every staged free onto its arena's pending list while the
     // finishing epoch is open, so the flush makes each free of the
     // epoch durable. A free stages only under a cache flag it took
@@ -924,8 +786,6 @@ DurableAllocator::drainOpen()
 void
 DurableAllocator::drainLocalCaches()
 {
-    if (!lockFree_ || caches_ == nullptr)
-        return;
     for (std::uint32_t ts = 0; ts < kMaxThreadSlots; ++ts) {
         // A slot caches or stages objects only once bound to an arena.
         const std::uint8_t arena =
@@ -947,14 +807,12 @@ DurableAllocator::drainLocalCaches()
 }
 
 // ---------------------------------------------------------------------
-// Mode dispatch and public API.
+// Public API.
 // ---------------------------------------------------------------------
 
 void *
 DurableAllocator::allocSlot(std::uint32_t slot)
 {
-    if (!lockFree_)
-        return allocSlotLocked(slot);
     void *p = nullptr;
     allocLF(slot, &p, 1);
     return p;
@@ -963,7 +821,7 @@ DurableAllocator::allocSlot(std::uint32_t slot)
 void
 DurableAllocator::freeSlot(std::uint32_t slot, void *p)
 {
-    lockFree_ ? freeLF(slot, &p, 1) : freeSlotLocked(slot, p);
+    freeLF(slot, &p, 1);
 }
 
 void *
@@ -998,13 +856,7 @@ DurableAllocator::allocMany(std::size_t bytes, void **out, std::size_t n)
 {
     if (n == 0)
         return;
-    const std::uint32_t slot = SizeClasses::classOf(bytes);
-    if (lockFree_) {
-        allocLF(slot, out, n);
-        return;
-    }
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = allocSlotLocked(slot);
+    allocLF(SizeClasses::classOf(bytes), out, n);
 }
 
 void
@@ -1013,22 +865,7 @@ DurableAllocator::freeMany(void *const *ps, std::size_t n,
 {
     if (n == 0)
         return;
-    const std::uint32_t slot = SizeClasses::classOf(bytes);
-    if (lockFree_) {
-        freeLF(slot, ps, n);
-        return;
-    }
-    for (std::size_t i = 0; i < n; ++i)
-        freeSlotLocked(slot, ps[i]);
-}
-
-void
-DurableAllocator::promotePending(std::uint64_t newEpoch)
-{
-    if (lockFree_)
-        promotePendingLF(newEpoch);
-    else
-        promotePendingLocked();
+    freeLF(SizeClasses::classOf(bytes), ps, n);
 }
 
 void

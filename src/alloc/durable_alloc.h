@@ -20,36 +20,31 @@
  *  - each object carries a compact 16-byte header (PackedWord) whose
  *    `nextInCLL` undo-logs `next` in the same cache line (§5.1).
  *
- * Two execution modes share that durable format:
+ * The hot path stays off the shared lists. Each thread slot keeps, per
+ * class, a transient cache of objects to allocate from and a buffer of
+ * staged frees (plain pointer arrays under one busy flag — zero durable
+ * stores). The cache refills in constant-time *block* transfers: a
+ * bounded read-only walk collects a segment, then one double-width CAS
+ * on {head, version} detaches it (the version word defeats ABA; every
+ * successful head mutation increments it). The walk finds its headers
+ * in cache: each cache hit steps a lookahead one object down the list
+ * the last refill left behind and prefetches the next. A full free
+ * buffer is linked and pushed onto the pending list with one CAS, and
+ * the epoch boundary pushes every partial one, so allocMany/freeMany
+ * move N objects with O(1) shared-list CASes and a per-op free touches
+ * no shared line. First-touch-per-epoch in-line logging of a shared
+ * record is arbitrated by a transient claim word so exactly one thread
+ * writes the InCLL copies and epoch stamp.
  *
- *  - *locked* (the original design): every list operation takes the
- *    per-(arena, class) spin lock.
- *  - *lock-free* (default): the hot path stays off the shared lists.
- *    Each thread slot keeps, per class, a transient cache of objects to
- *    allocate from and a buffer of staged frees (plain pointer arrays
- *    under one busy flag — zero durable stores). The cache refills
- *    in constant-time *block* transfers: a bounded read-only walk
- *    collects a segment, then one double-width CAS on {head, version}
- *    detaches it (the version word defeats ABA; every successful head
- *    mutation increments it). The walk finds its headers in cache: each
- *    cache hit steps a lookahead one object down the list the last
- *    refill left behind and prefetches the next. A full free buffer is
- *    linked and pushed onto the pending list with one CAS, and the
- *    epoch boundary pushes every partial one, so allocMany/freeMany
- *    move N objects with O(1) shared-list CASes and a per-op free
- *    touches no shared line. First-touch-per-epoch in-line logging of a
- *    shared record is arbitrated by a transient claim word so exactly
- *    one thread writes the InCLL copies and epoch stamp.
- *
- * In both modes, epoch boundaries close a drain fence (an EpochManager
- * prepare hook) and reopen it only after pending→free promotion, so no
- * list operation straddles the global flush, and none can read the new
- * epoch and free an object that the same boundary's promotion would
- * then hand out in that very epoch. In lock-free mode the prepare hook
- * then takes every thread cache's flag and pushes its staged frees onto
- * the pending list, so every free of a committed epoch is durable at
- * that epoch's flush. A free stages only under a flag it took with the
- * fence open, so it cannot slip past the hook into the next epoch.
+ * Epoch boundaries close a drain fence (an EpochManager prepare hook)
+ * and reopen it only after pending→free promotion, so no list operation
+ * straddles the global flush, and none can read the new epoch and free
+ * an object that the same boundary's promotion would then hand out in
+ * that very epoch. The prepare hook then takes every thread cache's
+ * flag and pushes its staged frees onto the pending list, so every free
+ * of a committed epoch is durable at that epoch's flush. A free stages
+ * only under a flag it took with the fence open, so it cannot slip past
+ * the hook into the next epoch.
  *
  * Crash recovery: list heads are rolled back eagerly at attach (a few
  * lines); object headers are repaired lazily when a pop first touches
@@ -59,14 +54,13 @@
  * logged copy and the segment is on the list again.
  *
  * Known bounded leak: a crash strands at most one partially-published
- * slab per concurrent carver per (arena, size class), plus — in
- * lock-free mode — the objects sitting in per-thread caches whose
- * refill epoch had already committed (≤ kCacheTarget objects per thread
- * slot per class). Staged frees are not a leak: those of a committed
- * epoch were pushed before its flush, and those of the failed epoch
- * roll back with it (the objects are live again). The paper's allocator
- * has the same property for its pool growth path; tree nodes and
- * installed values are unaffected.
+ * slab per concurrent carver per (arena, size class), plus the objects
+ * sitting in per-thread caches whose refill epoch had already committed
+ * (≤ kCacheTarget objects per thread slot per class). Staged frees are
+ * not a leak: those of a committed epoch were pushed before its flush,
+ * and those of the failed epoch roll back with it (the objects are live
+ * again). The paper's allocator has the same property for its pool
+ * growth path; tree nodes and installed values are unaffected.
  */
 #pragma once
 
@@ -144,17 +138,11 @@ class DurableAllocator
      *                     std::thread::hardware_concurrency, clamped to
      *                     [1, kMaxArenas].
      * @param slabBytes    bytes carved per refill (fresh only).
-     * @param lockFree     false selects the original spin-locked lists
-     *                     (kept as the measurable baseline). The mode is
-     *                     transient — any attach may pick either — but
-     *                     must not change while operations are in
-     *                     flight.
      */
     DurableAllocator(nvm::Pool &pool, EpochManager &epochs,
                      std::uint64_t *statePtrSlot, bool fresh,
                      std::uint32_t numArenas = 8,
-                     std::size_t slabBytes = 1u << 18,
-                     bool lockFree = true);
+                     std::size_t slabBytes = 1u << 18);
 
     /**
      * Allocate @p bytes of durable memory (16-byte aligned payload).
@@ -182,19 +170,18 @@ class DurableAllocator
     void freeAligned(void *p, std::size_t bytes);
 
     /**
-     * Allocate @p n objects of @p bytes each into @p out. In lock-free
-     * mode the batch is served from the thread cache; a shortfall is
-     * popped together with one cache load as a single segment (one CAS
-     * per retry, regardless of n) and the surplus refills the cache. In
-     * locked mode it degenerates to n single allocations.
+     * Allocate @p n objects of @p bytes each into @p out. The batch is
+     * served from the thread cache; a shortfall is popped together with
+     * one cache load as a single segment (one CAS per retry, regardless
+     * of n) and the surplus refills the cache.
      */
     void allocMany(std::size_t bytes, void **out, std::size_t n);
 
     /**
-     * Free @p n objects (each allocated with @p bytes). In lock-free
-     * mode the objects are staged in the thread slot's free buffer; each
-     * full buffer is linked and pushed onto the pending list with a
-     * single CAS, and the next epoch boundary pushes the rest.
+     * Free @p n objects (each allocated with @p bytes). The objects are
+     * staged in the thread slot's free buffer; each full buffer is
+     * linked and pushed onto the pending list with a single CAS, and
+     * the next epoch boundary pushes the rest.
      */
     void freeMany(void *const *ps, std::size_t n, std::size_t bytes);
 
@@ -234,7 +221,6 @@ class DurableAllocator
                                     bool aligned, bool pending) const;
 
     std::uint32_t numArenas() const;
-    bool lockFree() const { return lockFree_; }
 
     /**
      * Install a crash-injection hook (test use only, single-threaded):
@@ -297,13 +283,6 @@ class DurableAllocator
         void *freed[kCacheTarget];
     };
 
-    // ---- locked mode (original design) ----
-    void *allocSlotLocked(std::uint32_t slot);
-    void freeSlotLocked(std::uint32_t slot, void *p);
-    void refillLocked(std::uint32_t arena, std::uint32_t slot);
-    void promotePendingLocked();
-
-    // ---- lock-free mode ----
     void allocLF(std::uint32_t slot, void **out, std::size_t n);
     void freeLF(std::uint32_t slot, void *const *ps, std::size_t n);
     std::size_t popSegment(HeadRecord &rec, std::uint64_t epoch,
@@ -315,7 +294,7 @@ class DurableAllocator
                      ListKind kind, void *const *objs, std::size_t n);
     void carveSlab(std::uint32_t arena, std::uint32_t slot,
                    std::uint64_t epoch);
-    void promotePendingLF(std::uint64_t newEpoch);
+    void promotePending(std::uint64_t newEpoch);
     void ensureLoggedShared(HeadRecord &rec, std::uint64_t epoch);
     void drainClose();
     void drainOpen();
@@ -325,17 +304,12 @@ class DurableAllocator
     ThreadCache &cacheOf(std::uint32_t threadSlot,
                          std::uint32_t slot) const;
     std::atomic<std::uint64_t> &logStateOf(const HeadRecord &rec);
-
-    // ---- shared ----
     void *allocSlot(std::uint32_t slot);
     void freeSlot(std::uint32_t slot, void *p);
     HeadRecord &headOf(std::uint32_t arena, std::uint32_t slot,
                        ListKind kind) const;
     SpinLock &lockOf(std::uint32_t arena, std::uint32_t slot);
     std::uint32_t arenaOfThisThread();
-
-    /** First-touch-per-epoch in-line logging of a head record. */
-    void logHeadInCLL(HeadRecord &rec);
 
     /** Write o->next with the §5.1 two-word protocol. */
     void writeObjectNext(ObjectHeader *o, void *newNext);
@@ -345,8 +319,6 @@ class DurableAllocator
 
     /** Read-only resolution of o's successor (no repair writes). */
     void *resolveNext(const ObjectHeader *o) const;
-
-    void promotePending(std::uint64_t newEpoch);
 
     INCLL_INLINE void
     maybePhase(Phase p)
@@ -364,7 +336,7 @@ class DurableAllocator
     HeadRecord *records_ = nullptr; // contiguous [arena][slot][kind]
     std::uint32_t numArenas_ = 0;
     std::size_t slabBytes_ = 0;
-    bool lockFree_ = true;
+    /** Serialise slab growth per (arena, class); see carveSlab. */
     SpinLock locks_[kMaxArenas][kNumSlots];
 
     /** Transient in-line-log claim words, one per head record:

@@ -63,8 +63,6 @@ class DurableMasstree
         std::uint32_t allocArenas = 0;
         std::size_t allocSlabBytes = 1u << 18;
         bool inCllEnabled = true; ///< false = the paper's LOGGING mode
-        /** false = the allocator's original spin-locked lists. */
-        bool allocLockFree = true;
     };
 
     struct RecoverTag

@@ -65,8 +65,7 @@ DurableMasstree::wire(nvm::Pool &pool, const Options &options, bool fresh)
                                          options.logBufferBytes);
     alloc_ = std::make_unique<DurableAllocator>(
         pool, *epochs_, &root_->allocStateOffset, fresh,
-        options.allocArenas, options.allocSlabBytes,
-        options.allocLockFree);
+        options.allocArenas, options.allocSlabBytes);
 
     // The external log is logically discarded at every epoch boundary,
     // after the global flush made the logged nodes durable.

@@ -48,7 +48,6 @@ struct Args
     unsigned backpressureMb = 0;
     unsigned adaptiveDebtMb = 0;
     bool allowCrash = false;
-    bool allocLocked = false;
     unsigned slowOpUs = 0;
     unsigned statsSampleMs = 0;
     bool recordOpLatency = false;
@@ -57,6 +56,13 @@ struct Args
 Args
 parseArgs(int argc, char **argv)
 {
+    static constexpr const char *kUsage =
+        "flags: --port N --shards N --placement hash|range "
+        "--keys N --value-bytes N --io-threads N --exec-threads N "
+        "--async-epochs --service-threads N --epoch-ms N "
+        "--backpressure-mb N --adaptive-debt-mb N "
+        "--allow-crash --slow-op-us N "
+        "--stats-sample-ms N --record-op-latency\n";
     Args a;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -106,8 +112,6 @@ parseArgs(int argc, char **argv)
                 std::strtoul(next(), nullptr, 10));
         } else if (arg == "--allow-crash") {
             a.allowCrash = true;
-        } else if (arg == "--alloc-locked") {
-            a.allocLocked = true;
         } else if (arg == "--slow-op-us") {
             a.slowOpUs = static_cast<unsigned>(
                 std::strtoul(next(), nullptr, 10));
@@ -117,15 +121,12 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--record-op-latency") {
             a.recordOpLatency = true;
         } else if (arg == "--help") {
-            std::printf(
-                "flags: --port N --shards N --placement hash|range "
-                "--keys N --value-bytes N --io-threads N "
-                "--exec-threads N "
-                "--async-epochs --service-threads N --epoch-ms N "
-                "--backpressure-mb N --adaptive-debt-mb N "
-                "--allow-crash --alloc-locked --slow-op-us N "
-                "--stats-sample-ms N --record-op-latency\n");
+            std::fputs(kUsage, stdout);
             std::exit(0);
+        } else {
+            std::fprintf(stderr, "unknown flag %s\n%s", arg.c_str(),
+                         kUsage);
+            std::exit(2);
         }
     }
     return a;
@@ -158,7 +159,6 @@ main(int argc, char **argv)
     so.config.logBuffers = std::max(8u, a.ioThreads + a.execThreads);
     so.config.logBufferBytes = 16u << 20;
     so.config.placement = store::placementKindFromString(a.placement);
-    so.config.allocLockFree = !a.allocLocked;
     so.config.recordOpLatency = a.recordOpLatency;
     if (so.config.placement == store::PlacementKind::kRange &&
         a.shards > 1) {

@@ -38,7 +38,6 @@ struct StoreConfig
     std::uint32_t allocArenas = detail::kDefaultTreeOptions.allocArenas;
     std::size_t allocSlabBytes = detail::kDefaultTreeOptions.allocSlabBytes;
     bool inCllEnabled = detail::kDefaultTreeOptions.inCllEnabled;
-    bool allocLockFree = detail::kDefaultTreeOptions.allocLockFree;
 
     // -- store-level placement ----------------------------------------
     /**
@@ -77,7 +76,7 @@ struct StoreConfig
     treeOptions() const
     {
         return {logBuffers, logBufferBytes, allocArenas, allocSlabBytes,
-                inCllEnabled, allocLockFree};
+                inCllEnabled};
     }
 };
 

@@ -3,9 +3,8 @@
  * Lock-free durable allocator tests: batched alloc/free round trips,
  * staged frees made durable by the boundary's prepare hook, allocMany
  * refilling the thread cache, first-touch arena assignment, arena
- * auto-sizing, the locked baseline,
- * and a crash-injection storm that aborts operations at every phase of
- * the lock-free protocol (setPhaseHook) and verifies recovery
+ * auto-sizing, and a crash-injection storm that aborts operations at
+ * every phase of the lock-free protocol (setPhaseHook) and verifies recovery
  * reconstructs the free-list state exactly-once — no object is ever
  * both live and on a list, nothing is handed out twice, and the leak is
  * bounded by the documented cache/slab strand.
@@ -68,23 +67,22 @@ struct LockFreeAllocFixture : ::testing::Test
     }
 
     void
-    makeFresh(std::uint32_t arenas, std::size_t slabBytes,
-              bool lockFree = true)
+    makeFresh(std::uint32_t arenas, std::size_t slabBytes)
     {
         alloc = std::make_unique<DurableAllocator>(
-            *pool, *epochs, statePtr, true, arenas, slabBytes, lockFree);
+            *pool, *epochs, statePtr, true, arenas, slabBytes);
     }
 
     /** Simulated crash + restart of the epoch/alloc stack. */
     DurableAllocator *
-    crashAndRecover(bool lockFree = true)
+    crashAndRecover()
     {
         pool->crash();
         epochs = std::make_unique<EpochManager>(*pool, epochWord,
                                                 failedRec, false);
         epochs->markCrashRecovery();
         alloc = std::make_unique<DurableAllocator>(
-            *pool, *epochs, statePtr, false, 8, 1u << 18, lockFree);
+            *pool, *epochs, statePtr, false, 8, 1u << 18);
         alloc->recoverHeads();
         return alloc.get();
     }
@@ -202,26 +200,6 @@ TEST_F(LockFreeAllocFixture, ArenaAutoSizing)
     const unsigned expect =
         std::clamp(hw, 1u, DurableAllocator::kMaxArenas);
     EXPECT_EQ(alloc->numArenas(), expect);
-}
-
-TEST_F(LockFreeAllocFixture, LockedBaselineStillWorks)
-{
-    makeFresh(1, 1u << 16, /*lockFree=*/false);
-    EXPECT_FALSE(alloc->lockFree());
-    const auto cls = SizeClasses::classOf(48);
-
-    void *p = alloc->alloc(48);
-    alloc->free(p, 48);
-    EXPECT_EQ(alloc->pendingCount(0, cls), 1u);
-    epochs->advance();
-    EXPECT_EQ(alloc->pendingCount(0, cls), 0u);
-
-    // Crash in a dirty epoch rolls the allocation back.
-    epochs->advance();
-    const auto freeBefore = alloc->freeCount(0, cls);
-    (void)alloc->alloc(48);
-    auto *rec = crashAndRecover(/*lockFree=*/false);
-    EXPECT_EQ(rec->freeCount(0, cls), freeBefore);
 }
 
 // ---------------------------------------------------------------------

@@ -2,13 +2,13 @@
  * @file
  * Multithreaded allocator stress: 8 workers hammer alloc/free and the
  * batched allocMany/freeMany across two size classes while an advancer
- * thread drives epoch boundaries through the workload. Checks, in both
- * allocator modes, the exactly-once hand-out property under contention
- * (the global live set never sees a duplicate) and the EBR rule (an
- * object freed in epoch e is handed out again only in a later epoch).
- * TSan-clean by design — every cross-thread access on the lock-free
- * path is an atomic or happens-before'd by the drain fence — so the
- * suite is also registered under the tsan label (ctest -L tsan).
+ * thread drives epoch boundaries through the workload. Checks the
+ * exactly-once hand-out property under contention (the global live set
+ * never sees a duplicate) and the EBR rule (an object freed in epoch e
+ * is handed out again only in a later epoch). TSan-clean by design —
+ * every cross-thread access is an atomic or happens-before'd by the
+ * drain fence — so the suite is also registered under the tsan label
+ * (ctest -L tsan).
  */
 #include <gtest/gtest.h>
 
@@ -27,13 +27,8 @@
 namespace incll {
 namespace {
 
-class AllocStress : public ::testing::TestWithParam<bool>
+TEST(AllocStress, MixedChurnManyThreads)
 {
-};
-
-TEST_P(AllocStress, MixedChurnManyThreads)
-{
-    const bool lockFree = GetParam();
     nvm::Pool pool(1u << 26, nvm::Mode::kDirect);
     auto *area = static_cast<char *>(pool.rootArea());
     auto *epochWord = reinterpret_cast<std::uint64_t *>(area);
@@ -41,7 +36,7 @@ TEST_P(AllocStress, MixedChurnManyThreads)
     EpochManager epochs(pool, epochWord, failedRec, true);
     DurableAllocator alloc(
         pool, epochs, reinterpret_cast<std::uint64_t *>(area + 8), true,
-        4, 1u << 16, lockFree);
+        4, 1u << 16);
 
     constexpr unsigned kThreads = 8;
     constexpr int kRounds = 60;
@@ -162,11 +157,6 @@ TEST_P(AllocStress, MixedChurnManyThreads)
                       0u);
     alloc.drainLocalCaches();
 }
-
-INSTANTIATE_TEST_SUITE_P(Modes, AllocStress, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool> &i) {
-                             return i.param ? "LockFree" : "Locked";
-                         });
 
 } // namespace
 } // namespace incll
