@@ -86,6 +86,8 @@ runRegistry(unsigned threads, std::uint64_t opsPerThread)
 int
 main(int argc, char **argv)
 {
+    static constexpr const char *kUsage =
+        "flags: --threads N --ops N --json PATH\n";
     unsigned threads = 4;
     std::uint64_t opsPerThread = 2000000;
     std::string jsonPath;
@@ -104,8 +106,11 @@ main(int argc, char **argv)
         } else if (arg == "--json") {
             jsonPath = next();
         } else if (arg == "--help") {
-            std::printf("flags: --threads N --ops N --json PATH\n");
+            std::fputs(kUsage, stdout);
             return 0;
+        } else {
+            std::fprintf(stderr, "unknown flag %s\n%s", arg.c_str(), kUsage);
+            return 2;
         }
     }
 

@@ -17,14 +17,14 @@ EpochService::EpochService(store::ShardedStore &store, Options options)
 {
     assert(options_.threads > 0);
     // Fixed-capacity per-position state: an elastic store's member
-    // count can grow, but never beyond max(initial count, the
-    // TopologyRecord membership cap) — a legacy store above the cap
-    // can never become elastic. Allocating every slot up front means
-    // shards_ never resizes, so throttle()'s lock-free fast path can
-    // index it from any thread; slots at positions the store does not
-    // currently have are simply never scheduled (activeCount()).
+    // count can grow, but never beyond the manifest's membership cap (a
+    // hash store never changes its count, and may be larger).
+    // Allocating every slot up front means shards_ never resizes, so
+    // throttle()'s lock-free fast path can index it from any thread;
+    // slots at positions the store does not currently have are simply
+    // never scheduled (activeCount()).
     const unsigned cap =
-        std::max(store_.shardCount(), store::TopologyRecord::kMaxMembers);
+        std::max(store_.shardCount(), store::Manifest::kMaxMembers);
     shards_.reserve(cap);
     for (unsigned i = 0; i < cap; ++i)
         shards_.push_back(std::make_unique<ShardState>());

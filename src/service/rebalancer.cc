@@ -132,7 +132,7 @@ Rebalancer::sampleSplitKey(unsigned shard) const
     std::string split = samples[samples.size() / 2];
     // The split must be strictly inside (lower, upper) and persistable.
     if (split <= lower || (hasUpper && std::string_view(split) >= upper) ||
-        split.size() > store::PlacementRecord::kMaxBoundaryBytes)
+        split.size() > store::Manifest::kMaxBoundaryBytes)
         return {};
     return split;
 }
@@ -203,7 +203,7 @@ Rebalancer::elasticOnce(const std::vector<std::uint64_t> &ops, int hot)
         // but splitting the hot range into a brand-new member halves
         // its load at the same copy cost the move would have paid.
         if (n >= std::min<unsigned>(options_.maxShards,
-                                    store::TopologyRecord::kMaxMembers))
+                                    store::Manifest::kMaxMembers))
             return false;
         const std::string split = sampleSplitKey(static_cast<unsigned>(hot));
         if (split.empty())

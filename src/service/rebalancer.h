@@ -73,17 +73,16 @@ class Rebalancer
         std::size_t valueBytes = 0;
         /**
          * Enable the elastic decisions (merge / add / retire) on top of
-         * boundary moves. Requires a store that can be topology
-         * governed; each elastic pass also retires any shard a previous
-         * merge left unrouted.
+         * boundary moves. Requires a range store; each elastic pass
+         * also retires any shard a previous merge left unrouted.
          */
         bool elastic = false;
         /** A shard whose recent ops fall below this is merge-eligible
          *  (the decayed-hotness "cold" threshold). */
         std::uint64_t coldShardOps = 128;
         /** Membership cap addShard() may grow the store to (clamped to
-         *  the durable TopologyRecord cap). */
-        unsigned maxShards = store::TopologyRecord::kMaxMembers;
+         *  the manifest's cap, Manifest::kMaxMembers). */
+        unsigned maxShards = store::Manifest::kMaxMembers;
         /**
          * Merge cost cap: projected migration bytes (keys + values the
          * cold shard would stream into its neighbour) above this make

@@ -42,14 +42,14 @@ struct StoreConfig
     // -- store-level placement ----------------------------------------
     /**
      * How keys map to shards (fresh stores only — recovery re-derives
-     * the policy from the pools' durable placement records and ignores
-     * these two fields). kHash is the historical routing; kRange keeps
+     * the policy from the pools' manifests and ignores these two
+     * fields). kHash is the historical routing; kRange keeps
      * scans inside the shards whose ranges they intersect.
      */
     PlacementKind placement = PlacementKind::kHash;
     /**
      * Explicit range boundaries (exactly shards-1, strictly increasing,
-     * each <= PlacementRecord::kMaxBoundaryBytes). Empty under kRange
+     * each <= Manifest::kMaxBoundaryBytes). Empty under kRange
      * means "split the u64-key space evenly"
      * (RangePlacement::evenU64Boundaries) — balanced for scrambled
      * fixed-width keys like the YCSB universe; pass explicit or

@@ -1,13 +1,16 @@
 /**
  * @file
- * The key-move migration protocol (ShardedStore::moveBoundary) and the
- * machinery it shares with the topology transitions (window publish,
- * interval copy, table-epoch grace drain, recovery-side orphan sweep —
- * mergeBoundary/addShard in src/store/topology.cc reuse all of it).
+ * The transition engine (ShardedStore::applyTransition) and its parts:
+ * the manifest writes, the window publish, the interval copy, the
+ * dual-write paths, the table-epoch grace drain, the source GC and the
+ * recovery-side orphan sweep. moveBoundary, mergeBoundary and addShard
+ * (src/store/topology.cc) only validate and plan; every one of them
+ * reaches the protocol through applyTransition.
  *
  * State machine (MovePhase; the durable commit point is marked *):
  *
- *   kPrepare   write MigrationRecord intents to both pools (flushed),
+ *   kPrepare   (addShard: create the fresh destination shard), write
+ *              manifest {old table, intent} to every owned pool,
  *              publish the in-memory window, quiesce both gates so
  *              every subsequent op observes it
  *   kCopy      stream [lo, hi) from source to destination in chunks;
@@ -15,22 +18,27 @@
  *              authoritative, destination mirrored) under the window
  *              mutex, so the copy can never lose an update
  *   kCommit    pause interval writers (window mutex): destination
- *              epoch advance, BoundaryRecord flush (*), snapshot swap
+ *              epoch advance, manifest {new table, intent} (*),
+ *              snapshot swap
  *   kGc        old snapshot retired; once every reader pinning a
  *              retired snapshot releases (the table-epoch grace
  *              period) the source-side copies are deleted and their
- *              value buffers freed, then source epoch advance and
- *              intent clear; lookups that miss dual-route to the peer
- *   kDone      migration complete, window retired
+ *              value buffers freed (unless the source leaves the
+ *              topology whole), source epoch advance, then manifest
+ *              {new table, no intent}; lookups that miss dual-route to
+ *              the peer
+ *   kDone      transition complete, window retired
  *
- * Crash at any point recovers to exactly one side of (*): the boundary
- * table comes from the highest committed BoundaryRecord per shard, and
- * whichever tree still holds keys outside its recovered range — the
- * destination before (*), the source after — is swept by
- * sweepOutOfRangeKeys() during recovery construction.
+ * Crash at any point recovers to exactly one side of (*): recovery takes
+ * the highest-sequence manifest, so the first completed commit write
+ * decides, and whichever tree still holds keys outside its recovered
+ * range — the destination before (*), the source after — is swept by
+ * sweepOutOfRangeKeys() during recovery construction; pools outside the
+ * recovered member set are discarded whole.
  */
 #include "store/sharded_store.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/compiler.h"
@@ -45,6 +53,38 @@ std::size_t
 chunkSize(const MoveOptions &opts)
 {
     return opts.chunkKeys > 0 ? opts.chunkKeys : kDefaultChunk;
+}
+
+/**
+ * Visit the keys of @p tree in [lo, hi) (hi empty = +infinity) in
+ * chunks of at most @p chunk, each collected by a bounded scan and
+ * handed to @p apply, which may copy or remove them (no scan position
+ * is held across chunks). Every scan's result reaches @p apply, the
+ * last one possibly empty, so @p apply runs at least once. @p apply
+ * returning false stops the walk; returns false iff it did.
+ */
+template <typename Apply>
+bool
+forEachChunk(mt::DurableMasstree &tree, std::string_view lo,
+             std::string_view hi, std::size_t chunk, Apply &&apply)
+{
+    std::string cursor(lo);
+    std::vector<std::string> keys;
+    for (;;) {
+        keys.clear();
+        tree.scan(cursor, chunk, [&](std::string_view k, void *) {
+            if (!hi.empty() && k >= hi)
+                return false;
+            keys.emplace_back(k);
+            return true;
+        });
+        if (!apply(keys))
+            return false;
+        if (keys.size() < chunk)
+            return true; // the scan reached hi or the end of the tree
+        cursor = std::move(keys.back());
+        cursor.push_back('\0');
+    }
 }
 
 } // namespace
@@ -177,25 +217,40 @@ ShardedStore::migrationRemove(std::string_view key, void **oldOut)
 }
 
 void
-ShardedStore::installMovedTable(unsigned affectedPos,
-                                std::string_view newLower,
-                                std::uint64_t version)
+ShardedStore::writeManifests(const Topology &t, std::uint64_t version,
+                             const MigrationIntent *intent)
 {
-    Topology *cur = topology_.load(std::memory_order_acquire);
-    const auto *rp = static_cast<const RangePlacement *>(cur->placement);
-    Placement *pl = adoptPlacement(std::make_unique<RangePlacement>(
-        cur->count(), rp->withLowerBound(affectedPos, newLower)));
-    auto next = std::make_unique<Topology>();
-    next->placement = pl;
-    next->shards = cur->shards; // same members, re-bounded
-    next->nextPoolId = cur->nextPoolId;
-    adoptTopology(std::move(next), version);
+    Manifest m;
+    m.seq = ++manifestSeq_;
+    m.version = version;
+    m.nextPoolId = t.nextPoolId;
+    m.boundaries =
+        static_cast<const RangePlacement *>(t.placement)->boundaries();
+    for (const Shard *s : t.shards)
+        m.members.push_back(s->poolId());
+    if (intent != nullptr)
+        m.intent = *intent;
+    // Every pool the store owns carries the manifest, members of @p t
+    // first: a pool leaving the topology is never the only carrier of
+    // the newest one. The caller holds moveMu_, so the owned set cannot
+    // shrink underneath (only retireShard removes, under moveMu_).
+    std::vector<Shard *> pools = t.shards;
+    {
+        std::lock_guard lk(ownedMu_);
+        for (const OwnedShard &o : owned_)
+            if (std::find(pools.begin(), pools.end(), o.shard.get()) ==
+                pools.end())
+                pools.push_back(o.shard.get());
+    }
+    for (Shard *s : pools) {
+        m.poolId = s->poolId();
+        writeManifest(s->pool(), m);
+    }
 }
 
 ShardedStore::MigrationWindow *
 ShardedStore::publishWindow(Shard *src, Shard *dst,
-                            const MigrationIntent &intent,
-                            std::size_t valueBytes)
+                            const MigrationIntent &intent)
 {
     auto owned = std::make_unique<MigrationWindow>();
     MigrationWindow *w = owned.get();
@@ -203,7 +258,7 @@ ShardedStore::publishWindow(Shard *src, Shard *dst,
     w->dstShard = dst;
     w->lo = intent.lo;
     w->hi = intent.hi;
-    w->valueBytes = valueBytes;
+    w->valueBytes = intent.valueBytes;
     {
         std::lock_guard lk(placementMu_);
         migrationHistory_.push_back(std::move(owned));
@@ -218,14 +273,6 @@ ShardedStore::publishWindow(Shard *src, Shard *dst,
         gateOf(*s).unlockExclusive();
     }
     return w;
-}
-
-void
-ShardedStore::retireWindow(MigrationWindow &w)
-{
-    w.phase.store(static_cast<int>(MovePhase::kDone),
-                  std::memory_order_release);
-    migration_.store(nullptr, std::memory_order_release);
 }
 
 std::uint64_t
@@ -293,23 +340,13 @@ ShardedStore::copyInterval(const MigrationIntent &intent, Shard &src,
 {
     auto &srcTree = src.tree();
     auto &dstTree = dst.tree();
-    std::string cursor = intent.lo;
-    std::vector<std::string> chunk;
-    bool maybeMore = true;
-    while (maybeMore) {
-        if (opts.phaseGate && !opts.phaseGate(MovePhase::kCopy))
-            return false; // crash model: abandoned mid-copy
-        chunk.clear();
-        srcTree.scan(cursor, chunkSize(opts),
-                     [&](std::string_view k, void *) {
-                         if (!intent.hi.empty() && k >= intent.hi)
-                             return false;
-                         chunk.emplace_back(k);
-                         return true;
-                     });
-        if (chunk.empty())
-            break;
-        {
+    return forEachChunk(
+        srcTree, intent.lo, intent.hi, chunkSize(opts),
+        [&](const std::vector<std::string> &chunk) {
+            if (opts.phaseGate && !opts.phaseGate(MovePhase::kCopy))
+                return false; // crash model: abandoned mid-copy
+            if (chunk.empty())
+                return true;
             // Apply under the window mutex (serial with dual-writers)
             // and the source gate (value pointers stay dereferenceable:
             // a concurrent update's freed buffer cannot be recycled
@@ -333,161 +370,103 @@ ShardedStore::copyInterval(const MigrationIntent &intent, Shard &src,
                 ++res.keysMoved;
                 res.bytesMoved += key.size() + opts.valueBytes;
             }
-        }
-        maybeMore = chunk.size() >= chunkSize(opts);
-        cursor = chunk.back();
-        cursor.push_back('\0');
-    }
-    return true;
-}
-
-void
-ShardedStore::gcSourceRange(const MigrationWindow &w, const MoveOptions &opts)
-{
-    auto &srcTree = w.srcShard->tree();
-    std::string cursor = w.lo;
-    std::vector<std::string> doomed;
-    for (;;) {
-        doomed.clear();
-        srcTree.scan(cursor, chunkSize(opts),
-                     [&](std::string_view k, void *) {
-                         if (!w.hi.empty() && k >= w.hi)
-                             return false;
-                         doomed.emplace_back(k);
-                         return true;
-                     });
-        if (doomed.empty())
-            return;
-        for (const std::string &key : doomed) {
-            void *old = nullptr;
-            if (srcTree.remove(key, &old) && w.valueBytes > 0)
-                freeValueInOwningPool(old, w.valueBytes);
-        }
-        cursor = doomed.back();
-        cursor.push_back('\0');
-    }
+            return true;
+        });
 }
 
 std::uint64_t
-ShardedStore::sweepOutOfRangeKeys(
-    const std::optional<MigrationIntent> &pending)
+ShardedStore::eraseRange(Shard &sh, std::string_view lo, std::string_view hi,
+                         std::size_t valueBytes)
 {
+    auto &tree = sh.tree();
+    std::uint64_t erased = 0;
+    forEachChunk(tree, lo, hi, kDefaultChunk,
+                 [&](const std::vector<std::string> &keys) {
+                     for (const std::string &key : keys) {
+                         void *old = nullptr;
+                         if (!tree.remove(key, &old))
+                             continue;
+                         ++erased;
+                         if (valueBytes > 0)
+                             freeValueInOwningPool(old, valueBytes);
+                     }
+                     return true;
+                 });
+    return erased;
+}
+
+std::uint64_t
+ShardedStore::sweepOutOfRangeKeys(const MigrationIntent &pending)
+{
+    // Keys outside their tree's recovered range can only be the
+    // interrupted transition's copies or leftovers — every earlier
+    // transition swept its own before its intent was dropped — so all
+    // lie in the intent's interval, and its value size frees them.
     const Topology *t = topology_.load(std::memory_order_acquire);
     const auto *rp = static_cast<const RangePlacement *>(t->placement);
     std::uint64_t swept = 0;
-    std::vector<std::string> doomed;
     for (unsigned s = 0; s < t->count(); ++s) {
-        const std::string_view lower = rp->lowerBoundOf(s);
+        if (s > 0)
+            swept += eraseRange(*t->shards[s], {}, rp->lowerBoundOf(s),
+                                pending.valueBytes);
         std::string_view upper;
-        const bool hasUpper = rp->upperBoundOf(s, upper);
-        doomed.clear();
-        t->shards[s]->tree().scan(
-            {}, SIZE_MAX, [&](std::string_view k, void *) {
-                if (k < lower || (hasUpper && k >= upper))
-                    doomed.emplace_back(k);
-                return true;
-            });
-        for (const std::string &key : doomed) {
-            void *old = nullptr;
-            if (!t->shards[s]->tree().remove(key, &old))
-                continue;
-            ++swept;
-            // Value buffers can only be freed when their size is known:
-            // the interrupted migration's intent carries it for the
-            // interval it was moving. Orphans outside any intent (a
-            // crash squeezed between window publish and intent flush
-            // cannot happen — the intent is written first — so this is
-            // belt-and-braces) are dropped without a free.
-            if (pending && pending->valueBytes > 0 && pending->contains(key))
-                freeValueInOwningPool(old, pending->valueBytes);
-        }
+        if (rp->upperBoundOf(s, upper))
+            swept += eraseRange(*t->shards[s], upper, {}, pending.valueBytes);
     }
     return swept;
 }
 
 MoveResult
-ShardedStore::moveBoundary(unsigned src, unsigned dst,
-                           std::string_view splitKey,
-                           const MoveOptions &opts)
+ShardedStore::applyTransition(TransitionPlan plan, const MoveOptions &opts)
 {
-    if (!migrationPossible_)
-        throw std::invalid_argument(
-            "moveBoundary requires a multi-shard range-placed store");
-    std::unique_lock moveLk(moveMu_, std::try_to_lock);
-    if (!moveLk.owns_lock() ||
-        migration_.load(std::memory_order_acquire) != nullptr)
-        throw std::runtime_error("another migration is in flight");
-
-    // moveMu_ is held: the topology cannot change under us, so
-    // positions are stable for the whole protocol run.
+    // The caller holds moveMu_ (lockTransitions): the topology cannot
+    // change underneath, so positions are stable for the whole run.
     const Topology *cur = topology_.load(std::memory_order_acquire);
-    const unsigned n = cur->count();
-    if (src >= n || dst >= n || (src + 1 != dst && dst + 1 != src))
-        throw std::invalid_argument(
-            "moveBoundary source and destination must be adjacent shards");
-    if (splitKey.empty() ||
-        splitKey.size() > PlacementRecord::kMaxBoundaryBytes)
-        throw std::invalid_argument(
-            "split key must be non-empty and persistable");
-
-    const auto *rp = static_cast<const RangePlacement *>(cur->placement);
-    const std::string_view lower = rp->lowerBoundOf(src);
-    std::string_view upper;
-    const bool hasUpper = rp->upperBoundOf(src, upper);
-    if (splitKey <= lower || (hasUpper && splitKey >= upper))
-        throw std::invalid_argument(
-            "split key must lie strictly inside the source shard's range");
-
-    Shard *srcSh = cur->shards[src];
-    Shard *dstSh = cur->shards[dst];
+    const std::uint64_t version =
+        placementVersion_.load(std::memory_order_acquire);
     MigrationIntent intent;
-    intent.version = placementVersion_.load(std::memory_order_acquire) + 1;
-    // Intents name their parties by durable pool id — stable across
-    // the topology changes positions are not (ids == positions on
-    // non-elastic stores, keeping their records byte-identical).
-    intent.src = srcSh->poolId();
-    intent.dst = dstSh->poolId();
+    intent.version = version + 1;
     intent.valueBytes = static_cast<std::uint32_t>(opts.valueBytes);
-    if (dst == src + 1) {
-        // The tail [splitKey, upper) moves right; dst's lower bound
-        // becomes the split key.
-        intent.lo = std::string(splitKey);
-        intent.hi = std::string(upper);
-    } else {
-        // The head [lower, splitKey) moves left; src's lower bound
-        // becomes the split key.
-        intent.lo = std::string(lower);
-        intent.hi = std::string(splitKey);
-    }
-    // The member whose lower bound the commit rewrites — by position,
-    // computed here rather than from the intent (ids need not be
-    // position-ordered on an elastic store).
-    const unsigned affectedPos = std::max(src, dst);
-    const std::string &newLower = dst == src + 1 ? intent.lo : intent.hi;
-
+    intent.lo = std::move(plan.lo);
+    intent.hi = std::move(plan.hi);
     MoveResult res;
     res.version = intent.version;
     auto gateOk = [&opts](MovePhase p) {
         return !opts.phaseGate || opts.phaseGate(p);
     };
-    auto advance = [&](unsigned pos) {
+    auto advance = [&opts](unsigned pos, Shard &sh) {
         if (opts.advanceShard)
             opts.advanceShard(pos);
         else
-            cur->shards[pos]->tree().advanceEpoch();
+            sh.tree().advanceEpoch();
     };
 
     // ---- kPrepare ----------------------------------------------------
     if (!gateOk(MovePhase::kPrepare))
         return res; // crash model: nothing durable, nothing published
-
-    // Durable intent on both pools before anything can land in the
-    // destination — so recovery always knows the interval (and value
-    // size) of whatever orphans it finds.
-    writeMigrationIntent(dstSh->pool(), intent);
-    writeMigrationIntent(srcSh->pool(), intent);
-
-    MigrationWindow *w = publishWindow(srcSh, dstSh, intent, opts.valueBytes);
+    Shard *srcSh = cur->shards[plan.src];
+    Shard *dstSh = plan.freshShard ? nullptr : cur->shards[plan.dst];
+    if (plan.freshShard) {
+        // The full Shard lifecycle: fresh pool, epoch manager, external
+        // log, durable allocator, tree. Unrouted until the commit; the
+        // prepare manifest below makes its id durable before any table
+        // can name it, so a crash until then discards it as an orphan.
+        const std::uint32_t id = cur->nextPoolId;
+        auto fresh =
+            std::make_unique<Shard>(poolBytes_, mode_, seed_ + id, config_);
+        fresh->setPoolId(id);
+        fresh->tree().epochs().setStatShard(static_cast<int>(id));
+        dstSh = adoptShard(std::move(fresh), /*routed=*/false);
+        std::replace(plan.nextShards.begin(), plan.nextShards.end(),
+                     static_cast<Shard *>(nullptr), dstSh);
+    }
+    intent.src = srcSh->poolId();
+    intent.dst = dstSh->poolId();
+    // The durable intent precedes anything landing in the destination,
+    // so recovery always knows the interval (and value size) of
+    // whatever orphans it finds.
+    writeManifests(*cur, version, &intent);
+    MigrationWindow *w = publishWindow(srcSh, dstSh, intent);
     w->phase.store(static_cast<int>(MovePhase::kCopy),
                    std::memory_order_release);
     res.reached = MovePhase::kCopy;
@@ -505,13 +484,28 @@ ShardedStore::moveBoundary(unsigned src, unsigned dst,
         w->phase.store(static_cast<int>(MovePhase::kCommit),
                        std::memory_order_release);
         const auto t0 = std::chrono::steady_clock::now();
-        // Every copy and mirror becomes durable before the commit
-        // record names the destination as the owner...
-        advance(dst);
-        // ...then THE commit: one atomically-installed boundary record.
-        writeBoundaryRecord(cur->shards[affectedPos]->pool(),
-                            intent.version, newLower);
-        installMovedTable(affectedPos, newLower, intent.version);
+        // Every copy and mirror becomes durable before the manifest
+        // names the destination as the owner. A fresh destination has
+        // no position a service could advance, so it goes inline.
+        if (plan.freshShard)
+            dstSh->tree().advanceEpoch();
+        else
+            advance(plan.dst, *dstSh);
+        auto next = std::make_unique<Topology>();
+        next->placement = adoptPlacement(std::make_unique<RangePlacement>(
+            static_cast<unsigned>(plan.nextShards.size()),
+            std::move(plan.nextBoundaries)));
+        next->shards = std::move(plan.nextShards);
+        next->nextPoolId = std::max(cur->nextPoolId, dstSh->poolId() + 1);
+        // THE commit: the first completed manifest write decides.
+        writeManifests(*next, intent.version, &intent);
+        const Topology *t = adoptTopology(std::move(next), intent.version);
+        {
+            std::lock_guard ol(ownedMu_);
+            for (OwnedShard &o : owned_)
+                o.routed = std::find(t->shards.begin(), t->shards.end(),
+                                     o.shard.get()) != t->shards.end();
+        }
         w->phase.store(static_cast<int>(MovePhase::kGc),
                        std::memory_order_release);
         res.pauseNs = static_cast<std::uint64_t>(
@@ -527,26 +521,33 @@ ShardedStore::moveBoundary(unsigned src, unsigned dst,
     if (!gateOk(MovePhase::kGc))
         return res; // crash model: committed, source not yet swept
     res.reached = MovePhase::kGc;
-    // Grace period before deleting the source's copies (see
-    // drainRetiredPins): scans that pinned the retired snapshot may
-    // still route the moved keys to the source.
+    // Grace period before deleting anything (see drainRetiredPins):
+    // scans that pinned the retired snapshot may still route the moved
+    // keys to the source.
     res.graceNs = drainRetiredPins(intent.version);
     globalStats().addShard(Stat::kRebalanceGraceNs, srcSh->poolId(),
                            res.graceNs);
     obs::recordNs(obs::Hist::kMigrationGraceNs, res.graceNs);
-    // Then the source gate: any point op already inside it (which
-    // routed before the swap) finishes before the first delete.
-    gateOf(*srcSh).lockExclusive();
-    gateOf(*srcSh).unlockExclusive();
-    gcSourceRange(*w, opts);
-    advance(src); // deletions + frees durable before the intent drops
-    clearMigrationIntent(srcSh->pool());
-    clearMigrationIntent(dstSh->pool());
+    if (plan.gcSource) {
+        // Then the source gate: any point op already inside it (which
+        // routed before the swap) finishes before the first delete.
+        gateOf(*srcSh).lockExclusive();
+        gateOf(*srcSh).unlockExclusive();
+        eraseRange(*srcSh, w->lo, w->hi, w->valueBytes);
+        // Deletions + frees durable before the intent drops; the
+        // source keeps its position in the next topology.
+        advance(plan.src, *srcSh);
+    }
+    writeManifests(*topology_.load(std::memory_order_acquire),
+                   intent.version, nullptr);
 
-    retireWindow(*w);
+    w->phase.store(static_cast<int>(MovePhase::kDone),
+                   std::memory_order_release);
+    migration_.store(nullptr, std::memory_order_release);
     res.reached = MovePhase::kDone;
     res.completed = true;
-    globalStats().addShard(Stat::kRebalances, srcSh->poolId());
+    globalStats().addShard(plan.doneStat, plan.freshShard ? dstSh->poolId()
+                                                          : srcSh->poolId());
     globalStats().addShard(Stat::kRebalanceKeysMoved, srcSh->poolId(),
                            res.keysMoved);
     globalStats().addShard(Stat::kRebalanceBytesMoved, srcSh->poolId(),

@@ -1,11 +1,12 @@
 /**
  * @file
- * Placement policies: validation, boundary derivation, and the durable
- * PlacementRecord round-trip.
+ * Placement policies (validation, boundary derivation) and the store
+ * manifest: its durable slot layout, writer, reader and recovery.
  */
 #include "store/placement.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <stdexcept>
 
@@ -34,14 +35,6 @@ placementKindFromString(std::string_view name)
                                 std::string(name));
 }
 
-void
-Placement::persist(unsigned, nvm::Pool &) const
-{
-    // Policies recoverable from the key alone (hash) leave the pool
-    // untouched — that keeps a default store's crash image byte-
-    // identical to a standalone DurableMasstree's.
-}
-
 RangePlacement::RangePlacement(unsigned shards,
                                std::vector<std::string> boundaries)
     : Placement(PlacementKind::kRange, shards, /*ordered=*/true),
@@ -53,9 +46,9 @@ RangePlacement::RangePlacement(unsigned shards,
         throw std::invalid_argument(
             "RangePlacement needs exactly shards-1 boundaries");
     for (std::size_t i = 0; i < boundaries_.size(); ++i) {
-        if (boundaries_[i].size() > PlacementRecord::kMaxBoundaryBytes)
+        if (boundaries_[i].size() > Manifest::kMaxBoundaryBytes)
             throw std::invalid_argument(
-                "range boundary exceeds PlacementRecord::kMaxBoundaryBytes");
+                "range boundary exceeds Manifest::kMaxBoundaryBytes");
         if (i > 0 && boundaries_[i] <= boundaries_[i - 1])
             throw std::invalid_argument(
                 "range boundaries must be strictly increasing");
@@ -113,525 +106,279 @@ RangePlacement::boundariesFromSamples(std::vector<std::string> samples,
     return boundaries;
 }
 
-void
-RangePlacement::persist(unsigned shard, nvm::Pool &pool) const
-{
-    PlacementRecord rec{};
-    rec.magic = PlacementRecord::kMagic;
-    rec.kind = static_cast<std::uint32_t>(PlacementKind::kRange);
-    rec.shardIndex = shard;
-    rec.shardCount = shardCount();
-    const std::string &lb = shard == 0 ? std::string() : boundaries_[shard - 1];
-    rec.lowerBoundLen = static_cast<std::uint32_t>(lb.size());
-    std::memcpy(rec.lowerBound, lb.data(), lb.size());
-
-    char *dst =
-        static_cast<char *>(pool.rootArea()) + PlacementRecord::recordOffset();
-    nvm::pmemcpy(dst, &rec, sizeof(rec));
-    // Synchronous flush: the table must survive a crash at any later
-    // point, including mid-preload before the first epoch boundary.
-    pool.flushRange(dst, sizeof(rec));
-}
-
-// ---- versioned boundary + migration records ---------------------------
+// ---- the store manifest ------------------------------------------------
 
 namespace {
 
-/** Durable header line of the 3-line MigrationRecord. */
-struct MigrationRecordHeader
-{
-    static constexpr std::uint64_t kMagic = 0x1ac1b0c7ab1e0003ULL;
+constexpr std::uint64_t kManifestMagic = 0x1ac1b0c7ab1e0006ULL;
 
-    std::uint64_t magic;
-    std::uint64_t version;
-    std::uint32_t src;
-    std::uint32_t dst;
-    std::uint32_t loLen;
-    std::uint32_t hiLen;
-    std::uint32_t valueBytes;
-    std::uint32_t reserved;
+/** A persisted key (a boundary or an interval end). */
+struct DurableKey
+{
+    std::uint32_t len;
+    unsigned char bytes[Manifest::kMaxBoundaryBytes];
 };
 
-static_assert(sizeof(MigrationRecordHeader) <= 64,
-              "migration record header must fit one cache line");
-
-char *
-rootAreaAt(nvm::Pool &pool, std::size_t offset)
+/** One manifest slot as it sits in the root area, for @p N members
+ *  (see the byte map in placement.h). */
+template <std::uint32_t N>
+struct ManifestSlotFor
 {
-    return static_cast<char *>(pool.rootArea()) + offset;
+    std::uint64_t magic;
+    std::uint64_t checksum;
+    std::uint64_t seq;
+    std::uint64_t version;
+    std::uint32_t poolId;
+    std::uint32_t nextPoolId;
+    std::uint32_t memberCount;
+    std::uint32_t hasIntent;
+    std::uint64_t intentVersion;
+    std::uint32_t intentSrc;
+    std::uint32_t intentDst;
+    std::uint32_t intentValueBytes;
+    std::uint32_t reserved;
+    DurableKey intentLo;
+    DurableKey intentHi;
+    std::uint32_t memberIds[N];
+    DurableKey boundaries[N - 1];
+};
+
+using ManifestSlot = ManifestSlotFor<Manifest::kMaxMembers>;
+
+static_assert(2 * sizeof(ManifestSlot) <= kManifestAreaBytes,
+              "two manifest slots must fit the manifest area");
+static_assert(2 * sizeof(ManifestSlotFor<Manifest::kMaxMembers + 1>) >
+                  kManifestAreaBytes,
+              "kMaxMembers must be the most two slots can hold");
+static_assert(Manifest::kMaxMembers >= 32,
+              "the manifest must name at least 32 members");
+static_assert(manifestSlotOffset(0) % 64 == 0 &&
+                  manifestSlotOffset(1) % 64 == 0,
+              "manifest slots start on cache lines");
+
+/** Bytes of a slot naming @p members that are written and checksummed:
+ *  everything up to the last used boundary. */
+std::size_t
+usedBytes(std::uint32_t members)
+{
+    return offsetof(ManifestSlot, boundaries) +
+           sizeof(DurableKey) * (members - 1);
 }
 
-const char *
-rootAreaAt(const nvm::Pool &pool, std::size_t offset)
+/** FNV-1a over bytes [16, used) of @p slot — everything after the
+ *  magic and checksum words — finalised with mix64. */
+std::uint64_t
+checksumOf(const ManifestSlot &slot, std::size_t used)
 {
-    return static_cast<const char *>(pool.rootArea()) + offset;
-}
-
-/**
- * Magic-last record write: payload (with a zeroed magic word) is
- * persisted first, then the magic alone. flushRange is synchronous, so
- * a durable magic implies a durable payload — a crash can only hide
- * the record, never present a torn one as valid.
- */
-template <typename Record>
-void
-persistRecordMagicLast(nvm::Pool &pool, std::size_t offset,
-                       const Record &record, std::uint64_t magic)
-{
-    char *dst = rootAreaAt(pool, offset);
-    Record staged = record;
-    staged.magic = 0;
-    nvm::pmemcpy(dst, &staged, sizeof(staged));
-    pool.flushRange(dst, sizeof(staged));
-    nvm::pstore(*reinterpret_cast<std::uint64_t *>(dst), magic);
-    pool.flushRange(dst, sizeof(std::uint64_t));
-}
-
-/**
- * Read a pool's base record; false when absent (no magic — the pool
- * predates the placement seam or belongs to a hash-placed store). A
- * record whose magic matches but whose fields are invalid throws:
- * silently degrading a range-placed store to hash routing would
- * misroute every key.
- */
-bool
-readRecord(const nvm::Pool &pool, PlacementRecord &out)
-{
-    const char *src = rootAreaAt(pool, PlacementRecord::recordOffset());
-    std::memcpy(&out, src, sizeof(out));
-    if (out.magic != PlacementRecord::kMagic)
-        return false;
-    if (out.kind != static_cast<std::uint32_t>(PlacementKind::kRange) ||
-        out.lowerBoundLen > PlacementRecord::kMaxBoundaryBytes)
-        throw std::runtime_error(
-            "corrupt placement record (magic matches, fields invalid)");
-    return true;
-}
-
-/** Read boundary slot @p slot; false when absent. Corrupt-with-magic
- *  throws, like the base record. */
-bool
-readBoundarySlot(const nvm::Pool &pool, unsigned slot, BoundaryRecord &out)
-{
-    const char *src = rootAreaAt(pool, BoundaryRecord::slotOffset(slot));
-    std::memcpy(&out, src, sizeof(out));
-    if (out.magic != BoundaryRecord::kMagic)
-        return false;
-    if (out.version == 0 ||
-        out.lowerBoundLen > PlacementRecord::kMaxBoundaryBytes)
-        throw std::runtime_error(
-            "corrupt boundary record (magic matches, fields invalid)");
-    return true;
-}
-
-/** Read topology slot @p slot; false when absent. Corrupt-with-magic
- *  throws. version 0 is valid here (the creation-time member set). */
-bool
-readTopologySlot(const nvm::Pool &pool, unsigned slot, TopologyRecord &out)
-{
-    const char *src = rootAreaAt(pool, TopologyRecord::slotOffset(slot));
-    std::memcpy(&out, src, sizeof(out));
-    if (out.magic != TopologyRecord::kMagic)
-        return false;
-    if (out.memberCount == 0 ||
-        out.memberCount > TopologyRecord::kMaxMembers ||
-        out.affectedLowerLen > PlacementRecord::kMaxBoundaryBytes)
-        throw std::runtime_error(
-            "corrupt topology record (magic matches, fields invalid)");
-    return true;
-}
-
-} // namespace
-
-void
-writeMigrationIntent(nvm::Pool &pool, const MigrationIntent &intent)
-{
-    if (intent.lo.size() > PlacementRecord::kMaxBoundaryBytes ||
-        intent.hi.size() > PlacementRecord::kMaxBoundaryBytes)
-        throw std::invalid_argument("migration interval key too long");
-    // Payload lines (lo, hi) first, flushed...
-    char *loLine = rootAreaAt(pool, migrationRecordOffset() + 64);
-    char *hiLine = rootAreaAt(pool, migrationRecordOffset() + 128);
-    nvm::pmemset(loLine, 0, 128);
-    nvm::pmemcpy(loLine, intent.lo.data(), intent.lo.size());
-    nvm::pmemcpy(hiLine, intent.hi.data(), intent.hi.size());
-    pool.flushRange(loLine, 128);
-    // ...then the header with its magic last: a durable magic implies
-    // the whole 3-line record is durable.
-    MigrationRecordHeader h{};
-    h.version = intent.version;
-    h.src = intent.src;
-    h.dst = intent.dst;
-    h.loLen = static_cast<std::uint32_t>(intent.lo.size());
-    h.hiLen = static_cast<std::uint32_t>(intent.hi.size());
-    h.valueBytes = intent.valueBytes;
-    persistRecordMagicLast(pool, migrationRecordOffset(), h,
-                           MigrationRecordHeader::kMagic);
+    const auto *p = reinterpret_cast<const unsigned char *>(&slot);
+    std::uint64_t h = 1469598103934665603ULL;
+    for (std::size_t i = offsetof(ManifestSlot, seq); i < used; ++i) {
+        h ^= p[i];
+        h *= 1099511628211ULL;
+    }
+    return mix64(h);
 }
 
 void
-clearMigrationIntent(nvm::Pool &pool)
+putKey(DurableKey &out, std::string_view key)
 {
-    char *dst = rootAreaAt(pool, migrationRecordOffset());
-    nvm::pstore(*reinterpret_cast<std::uint64_t *>(dst), std::uint64_t{0});
-    pool.flushRange(dst, sizeof(std::uint64_t));
+    if (key.size() > Manifest::kMaxBoundaryBytes)
+        throw std::invalid_argument(
+            "manifest key exceeds Manifest::kMaxBoundaryBytes");
+    out.len = static_cast<std::uint32_t>(key.size());
+    if (!key.empty()) // an empty view's data() may be null
+        std::memcpy(out.bytes, key.data(), key.size());
 }
 
-std::optional<MigrationIntent>
-readMigrationIntent(const nvm::Pool &pool)
+std::string
+getKey(const DurableKey &in)
 {
-    MigrationRecordHeader h;
-    std::memcpy(&h, rootAreaAt(pool, migrationRecordOffset()), sizeof(h));
-    if (h.magic != MigrationRecordHeader::kMagic)
-        return std::nullopt;
-    if (h.loLen > PlacementRecord::kMaxBoundaryBytes ||
-        h.hiLen > PlacementRecord::kMaxBoundaryBytes || h.version == 0)
-        throw std::runtime_error(
-            "corrupt migration record (magic matches, fields invalid)");
-    MigrationIntent intent;
-    intent.version = h.version;
-    intent.src = h.src;
-    intent.dst = h.dst;
-    intent.valueBytes = h.valueBytes;
-    intent.lo.assign(rootAreaAt(pool, migrationRecordOffset() + 64),
-                     h.loLen);
-    intent.hi.assign(rootAreaAt(pool, migrationRecordOffset() + 128),
-                     h.hiLen);
-    return intent;
+    return std::string(reinterpret_cast<const char *>(in.bytes), in.len);
 }
 
-void
-writeBoundaryRecord(nvm::Pool &pool, std::uint64_t version,
-                    std::string_view lowerBound)
-{
-    if (lowerBound.size() > PlacementRecord::kMaxBoundaryBytes)
-        throw std::invalid_argument("boundary exceeds kMaxBoundaryBytes");
-    // Write into the slot NOT holding the current highest version: the
-    // latest committed boundary stays intact no matter how this write
-    // tears, which is what lets recovery always land on old-or-new.
-    BoundaryRecord cur[2];
-    const bool valid0 = readBoundarySlot(pool, 0, cur[0]);
-    const bool valid1 = readBoundarySlot(pool, 1, cur[1]);
-    unsigned target = 0;
-    if (valid0 && (!valid1 || cur[0].version > cur[1].version))
-        target = 1;
+enum class SlotState { kAbsent, kValid, kCorrupt };
 
-    BoundaryRecord rec{};
-    rec.version = version;
-    rec.lowerBoundLen = static_cast<std::uint32_t>(lowerBound.size());
-    std::memcpy(rec.lowerBound, lowerBound.data(), lowerBound.size());
-    persistRecordMagicLast(pool, BoundaryRecord::slotOffset(target), rec,
-                           BoundaryRecord::kMagic);
-}
-
-void
-writePoolIdRecord(nvm::Pool &pool, std::uint32_t poolId)
+/** Decode slot @p slot of @p pool into @p out (when valid). */
+SlotState
+readSlot(const nvm::Pool &pool, unsigned slot, Manifest &out)
 {
-    PoolIdRecord rec{};
-    rec.poolId = poolId;
-    persistRecordMagicLast(pool, PoolIdRecord::recordOffset(), rec,
-                           PoolIdRecord::kMagic);
-}
-
-std::optional<std::uint32_t>
-readPoolIdRecord(const nvm::Pool &pool)
-{
-    PoolIdRecord rec;
-    std::memcpy(&rec, rootAreaAt(pool, PoolIdRecord::recordOffset()),
+    ManifestSlot rec;
+    std::memcpy(&rec,
+                static_cast<const char *>(pool.rootArea()) +
+                    manifestSlotOffset(slot),
                 sizeof(rec));
-    if (rec.magic != PoolIdRecord::kMagic)
-        return std::nullopt;
-    return rec.poolId;
-}
-
-void
-writeTopologyRecord(nvm::Pool &pool, const TopologyRecord &record)
-{
-    if (record.memberCount == 0 ||
-        record.memberCount > TopologyRecord::kMaxMembers)
-        throw std::invalid_argument("topology record member count invalid");
-    // Same slot discipline as BoundaryRecord: never overwrite the slot
-    // holding the current highest version, magic written last.
-    TopologyRecord cur[2];
-    const bool valid0 = readTopologySlot(pool, 0, cur[0]);
-    const bool valid1 = readTopologySlot(pool, 1, cur[1]);
-    unsigned target = 0;
-    if (valid0 && (!valid1 || cur[0].version > cur[1].version))
-        target = 1;
-    persistRecordMagicLast(pool, TopologyRecord::slotOffset(target), record,
-                           TopologyRecord::kMagic);
-}
-
-std::optional<TopologyRecord>
-readBestTopologyRecord(const nvm::Pool &pool)
-{
-    TopologyRecord rec[2];
-    const bool valid0 = readTopologySlot(pool, 0, rec[0]);
-    const bool valid1 = readTopologySlot(pool, 1, rec[1]);
-    if (!valid0 && !valid1)
-        return std::nullopt;
-    if (valid0 && valid1)
-        return rec[0].version >= rec[1].version ? rec[0] : rec[1];
-    return valid0 ? rec[0] : rec[1];
-}
-
-namespace {
-
-/** Highest-version valid boundary record of @p pool, if any. */
-bool
-readBestBoundary(const nvm::Pool &pool, BoundaryRecord &out)
-{
-    BoundaryRecord rec[2];
-    const bool valid0 = readBoundarySlot(pool, 0, rec[0]);
-    const bool valid1 = readBoundarySlot(pool, 1, rec[1]);
-    if (!valid0 && !valid1)
-        return false;
-    if (valid0 && valid1)
-        out = rec[0].version >= rec[1].version ? rec[0] : rec[1];
-    else
-        out = valid0 ? rec[0] : rec[1];
-    return true;
-}
-
-/** True iff @p pool holds a boundary record committed at @p version. */
-bool
-hasBoundaryAtVersion(const nvm::Pool &pool, std::uint64_t version)
-{
-    BoundaryRecord rec;
-    for (unsigned slot = 0; slot < 2; ++slot)
-        if (readBoundarySlot(pool, slot, rec) && rec.version == version)
-            return true;
-    return false;
+    if (rec.magic != kManifestMagic)
+        return SlotState::kAbsent;
+    if (rec.memberCount == 0 || rec.memberCount > Manifest::kMaxMembers ||
+        rec.checksum != checksumOf(rec, usedBytes(rec.memberCount)))
+        return SlotState::kCorrupt;
+    out.seq = rec.seq;
+    out.version = rec.version;
+    out.poolId = rec.poolId;
+    out.nextPoolId = rec.nextPoolId;
+    out.members.assign(rec.memberIds, rec.memberIds + rec.memberCount);
+    out.boundaries.clear();
+    for (std::uint32_t i = 0; i + 1 < rec.memberCount; ++i) {
+        if (rec.boundaries[i].len > Manifest::kMaxBoundaryBytes)
+            return SlotState::kCorrupt;
+        out.boundaries.push_back(getKey(rec.boundaries[i]));
+    }
+    out.intent.reset();
+    if (rec.hasIntent != 0) {
+        if (rec.intentLo.len > Manifest::kMaxBoundaryBytes ||
+            rec.intentHi.len > Manifest::kMaxBoundaryBytes)
+            return SlotState::kCorrupt;
+        MigrationIntent &in = out.intent.emplace();
+        in.version = rec.intentVersion;
+        in.src = rec.intentSrc;
+        in.dst = rec.intentDst;
+        in.valueBytes = rec.intentValueBytes;
+        in.lo = getKey(rec.intentLo);
+        in.hi = getKey(rec.intentHi);
+    }
+    return SlotState::kValid;
 }
 
 } // namespace
 
-PlacementRecovery
-recoverPlacement(const std::vector<std::unique_ptr<nvm::Pool>> &pools)
+void
+writeManifest(nvm::Pool &pool, const Manifest &m)
 {
-    const unsigned shards = static_cast<unsigned>(pools.size());
-    std::vector<std::string> boundaries;
-    PlacementRecovery result;
-    unsigned withRecord = 0;
-    for (unsigned i = 0; i < shards; ++i) {
-        PlacementRecord rec;
-        if (!readRecord(*pools[i], rec))
-            continue;
-        if (rec.shardIndex != i || rec.shardCount != shards)
-            throw std::runtime_error(
-                "placement record mismatch: pool is not shard " +
-                std::to_string(i) + " of a " + std::to_string(shards) +
-                "-shard store");
-        ++withRecord;
-        if (i == 0)
-            continue;
-        // The committed lower bound: the highest-version boundary
-        // record if a migration ever moved this shard's edge, else the
-        // creation-time base. A migration whose commit record never
-        // became durable contributes nothing here — the old bound
-        // stays authoritative.
-        BoundaryRecord override_;
-        if (readBestBoundary(*pools[i], override_)) {
-            boundaries.emplace_back(
-                reinterpret_cast<const char *>(override_.lowerBound),
-                override_.lowerBoundLen);
-            result.version = std::max(result.version, override_.version);
-        } else {
-            boundaries.emplace_back(
-                reinterpret_cast<const char *>(rec.lowerBound),
-                rec.lowerBoundLen);
-        }
+    const auto count = static_cast<std::uint32_t>(m.members.size());
+    if (count == 0 || count > Manifest::kMaxMembers)
+        throw std::invalid_argument(
+            "manifest member count must be 1..Manifest::kMaxMembers");
+    if (m.boundaries.size() != count - 1)
+        throw std::invalid_argument(
+            "manifest needs exactly members-1 boundaries");
+    ManifestSlot rec{};
+    rec.seq = m.seq;
+    rec.version = m.version;
+    rec.poolId = m.poolId;
+    rec.nextPoolId = m.nextPoolId;
+    rec.memberCount = count;
+    std::copy(m.members.begin(), m.members.end(), rec.memberIds);
+    for (std::uint32_t i = 0; i + 1 < count; ++i)
+        putKey(rec.boundaries[i], m.boundaries[i]);
+    if (m.intent) {
+        rec.hasIntent = 1;
+        rec.intentVersion = m.intent->version;
+        rec.intentSrc = m.intent->src;
+        rec.intentDst = m.intent->dst;
+        rec.intentValueBytes = m.intent->valueBytes;
+        putKey(rec.intentLo, m.intent->lo);
+        putKey(rec.intentHi, m.intent->hi);
     }
-    if (withRecord != 0 && withRecord != shards)
-        throw std::runtime_error(
-            "placement records present on only some pools; these are not "
-            "one store's shards");
+    const std::size_t used = usedBytes(count);
+    rec.checksum = checksumOf(rec, used);
 
-    // Interrupted migration, if any: the intent is written to both
-    // involved pools (possibly only one, if the crash hit between the
-    // two intent writes), and cleared from both after the tail work.
-    for (unsigned i = 0; i < shards; ++i) {
-        auto intent = readMigrationIntent(*pools[i]);
-        if (!intent)
-            continue;
-        if (withRecord == 0)
-            throw std::runtime_error(
-                "migration record on a hash-placed pool");
-        if (intent->src >= shards || intent->dst >= shards ||
-            (intent->src + 1 != intent->dst && intent->dst + 1 != intent->src))
-            throw std::runtime_error(
-                "migration record names non-adjacent shards");
-        if (result.pending && (result.pending->version != intent->version ||
-                               result.pending->src != intent->src ||
-                               result.pending->dst != intent->dst ||
-                               result.pending->lo != intent->lo ||
-                               result.pending->hi != intent->hi))
-            throw std::runtime_error(
-                "conflicting migration records across pools");
-        result.pending = std::move(intent);
-    }
-    if (result.pending)
-        result.pendingCommitted = hasBoundaryAtVersion(
-            *pools[result.pending->affectedShard()],
-            result.pending->version);
+    // Never the slot holding this pool's newest valid manifest: it stays
+    // intact however this write tears.
+    Manifest cur[2];
+    const bool valid0 = readSlot(pool, 0, cur[0]) == SlotState::kValid;
+    const bool valid1 = readSlot(pool, 1, cur[1]) == SlotState::kValid;
+    const unsigned target =
+        valid0 && (!valid1 || cur[0].seq > cur[1].seq) ? 1 : 0;
 
-    if (withRecord == 0) {
-        result.placement = std::make_unique<HashPlacement>(shards);
-        return result;
-    }
-    result.placement =
-        std::make_unique<RangePlacement>(shards, std::move(boundaries));
-    return result;
+    // Magic cleared first, then the payload, then the magic: flushRange
+    // is synchronous, so a durable magic implies a durable payload and a
+    // crash anywhere in between leaves a slot without a magic word.
+    char *dst = static_cast<char *>(pool.rootArea()) + manifestSlotOffset(target);
+    auto &magic = *reinterpret_cast<std::uint64_t *>(dst);
+    nvm::pstore(magic, std::uint64_t{0});
+    pool.flushRange(dst, sizeof(magic));
+    nvm::pmemcpy(dst + sizeof(magic),
+                 reinterpret_cast<const char *>(&rec) + sizeof(magic),
+                 used - sizeof(magic));
+    pool.flushRange(dst, used);
+    nvm::pstore(magic, kManifestMagic);
+    pool.flushRange(dst, sizeof(magic));
 }
 
-TopologyRecovery
-recoverTopology(const std::vector<std::unique_ptr<nvm::Pool>> &pools)
+std::optional<Manifest>
+readManifest(const nvm::Pool &pool)
 {
-    TopologyRecovery result;
+    Manifest slot[2];
+    bool valid[2];
+    for (unsigned s = 0; s < 2; ++s) {
+        const SlotState st = readSlot(pool, s, slot[s]);
+        if (st == SlotState::kCorrupt)
+            throw std::runtime_error(
+                "corrupt store manifest (magic matches, checksum or "
+                "fields do not)");
+        valid[s] = st == SlotState::kValid;
+    }
+    if (!valid[0] && !valid[1])
+        return std::nullopt;
+    if (valid[0] && valid[1])
+        return std::move(slot[slot[0].seq >= slot[1].seq ? 0 : 1]);
+    return std::move(slot[valid[0] ? 0 : 1]);
+}
 
-    // The winning member set: highest version across every pool's two
-    // slots. Records at equal versions are identical by construction
-    // (one writer, every member gets a copy), so any carrier will do.
-    std::optional<TopologyRecord> winning;
-    for (const auto &pool : pools) {
-        auto rec = readBestTopologyRecord(*pool);
-        if (rec && (!winning || rec->version > winning->version))
-            winning = rec;
+StoreRecovery
+recoverManifest(const std::vector<std::unique_ptr<nvm::Pool>> &pools)
+{
+    StoreRecovery result;
+    std::vector<std::optional<Manifest>> own(pools.size());
+    const Manifest *winning = nullptr;
+    for (std::size_t i = 0; i < pools.size(); ++i) {
+        own[i] = readManifest(*pools[i]);
+        if (own[i] && (winning == nullptr || own[i]->seq > winning->seq))
+            winning = &*own[i];
     }
 
-    if (!winning) {
-        // Pre-elasticity image: positions are identities. Delegate to
-        // the byte-compatible legacy path and lift its result.
-        PlacementRecovery legacy = recoverPlacement(pools);
-        result.placement = std::move(legacy.placement);
-        result.version = legacy.version;
-        result.pending = std::move(legacy.pending);
-        result.pendingCommitted = legacy.pendingCommitted;
-        result.memberPools.resize(pools.size());
-        result.memberIds.resize(pools.size());
+    if (winning == nullptr) {
+        // No pool holds a manifest: a hash-placed store, whose pools are
+        // its shards in order.
+        result.placement = std::make_unique<HashPlacement>(
+            static_cast<unsigned>(pools.size()));
         for (std::size_t i = 0; i < pools.size(); ++i) {
-            result.memberPools[i] = i;
-            result.memberIds[i] = static_cast<std::uint32_t>(i);
+            result.memberPools.push_back(i);
+            result.memberIds.push_back(static_cast<std::uint32_t>(i));
         }
         result.nextPoolId = static_cast<std::uint32_t>(pools.size());
         return result;
     }
 
-    result.topologyGoverned = true;
+    // A pool's identity is its own newest manifest's poolId. A pool with
+    // no manifest at all can only be a mid-add casualty (crashed before
+    // its first manifest write): an orphan, never a member.
     result.version = winning->version;
+    result.seq = winning->seq;
     result.nextPoolId = winning->nextPoolId;
-
-    // Pool id -> input index. A pool without an id record in a
-    // topology-governed store can only be a mid-add casualty (crash
-    // between pool creation and the id flush): an orphan, never a
-    // member — a committed member's id record was flushed before the
-    // commit record could name it.
-    std::vector<std::optional<std::uint32_t>> idAt(pools.size());
     for (std::size_t i = 0; i < pools.size(); ++i) {
-        idAt[i] = readPoolIdRecord(*pools[i]);
-        if (idAt[i]) {
-            result.nextPoolId = std::max(result.nextPoolId, *idAt[i] + 1);
-            for (std::size_t j = 0; j < i; ++j)
-                if (idAt[j] && *idAt[j] == *idAt[i])
-                    throw std::runtime_error(
-                        "duplicate pool id across pools; these are not one "
-                        "store's shards");
-        }
+        if (!own[i])
+            continue;
+        result.nextPoolId = std::max(result.nextPoolId, own[i]->poolId + 1);
+        for (std::size_t j = 0; j < i; ++j)
+            if (own[j] && own[j]->poolId == own[i]->poolId)
+                throw std::runtime_error(
+                    "duplicate pool id across pools; these are not one "
+                    "store's shards");
     }
-    auto poolOfId = [&](std::uint32_t id) -> std::optional<std::size_t> {
-        for (std::size_t i = 0; i < pools.size(); ++i)
-            if (idAt[i] && *idAt[i] == id)
-                return i;
-        return std::nullopt;
-    };
-
-    for (std::uint32_t m = 0; m < winning->memberCount; ++m) {
-        auto idx = poolOfId(winning->memberIds[m]);
-        if (!idx)
-            throw std::runtime_error(
-                "topology record names pool id " +
-                std::to_string(winning->memberIds[m]) +
-                " but no such pool was supplied");
-        result.memberPools.push_back(*idx);
-        result.memberIds.push_back(winning->memberIds[m]);
+    for (const std::uint32_t id : winning->members) {
+        std::size_t i = 0;
+        while (i < pools.size() && !(own[i] && own[i]->poolId == id))
+            ++i;
+        if (i == pools.size())
+            throw std::runtime_error("store manifest names pool id " +
+                                     std::to_string(id) +
+                                     " but no such pool was supplied");
+        result.memberPools.push_back(i);
+        result.memberIds.push_back(id);
     }
     for (std::size_t i = 0; i < pools.size(); ++i)
         if (std::find(result.memberPools.begin(), result.memberPools.end(),
                       i) == result.memberPools.end())
             result.orphanPools.push_back(i);
 
-    // Per-member lower bound (position 0 is implicitly ""): the
-    // highest-version candidate among the pool's own BoundaryRecords,
-    // the winning record's inline affected bound, and the creation-time
-    // PlacementRecord (version 0). Any pool id / position checks are by
-    // construction of the membership above — the legacy positional
-    // checks do not apply on this path.
-    std::vector<std::string> boundaries;
-    for (std::size_t pos = 1; pos < result.memberPools.size(); ++pos) {
-        const nvm::Pool &pool = *pools[result.memberPools[pos]];
-        std::uint64_t bestVersion = 0;
-        std::string bound;
-        bool found = false;
-        PlacementRecord base;
-        if (readRecord(pool, base)) {
-            bound.assign(reinterpret_cast<const char *>(base.lowerBound),
-                         base.lowerBoundLen);
-            found = true;
-        }
-        BoundaryRecord override_;
-        if (readBestBoundary(pool, override_) &&
-            (!found || override_.version >= bestVersion)) {
-            bestVersion = override_.version;
-            bound.assign(reinterpret_cast<const char *>(override_.lowerBound),
-                         override_.lowerBoundLen);
-            found = true;
-        }
-        if (winning->affectedPoolId == result.memberIds[pos] &&
-            (!found || winning->version >= bestVersion)) {
-            bestVersion = winning->version;
-            bound.assign(
-                reinterpret_cast<const char *>(winning->affectedLower),
-                winning->affectedLowerLen);
-            found = true;
-        }
-        if (!found)
-            throw std::runtime_error(
-                "no recoverable lower bound for member pool id " +
-                std::to_string(result.memberIds[pos]));
-        result.version = std::max(result.version, bestVersion);
-        boundaries.push_back(std::move(bound));
-    }
     result.placement = std::make_unique<RangePlacement>(
-        static_cast<unsigned>(result.memberPools.size()),
-        std::move(boundaries));
-
-    // Interrupted transition, if any. Intents name pool IDS here; they
-    // are written to both involved pools and at least one side is
-    // always a member of old AND new topology, so member pools alone
-    // suffice (an orphan's copy would describe dropped state anyway).
-    for (std::size_t idx : result.memberPools) {
-        auto intent = readMigrationIntent(*pools[idx]);
-        if (!intent)
-            continue;
-        if (result.pending && (result.pending->version != intent->version ||
-                               result.pending->src != intent->src ||
-                               result.pending->dst != intent->dst ||
-                               result.pending->lo != intent->lo ||
-                               result.pending->hi != intent->hi))
-            throw std::runtime_error(
-                "conflicting migration records across pools");
-        result.pending = std::move(intent);
-    }
-    if (result.pending) {
-        // Committed iff the version the intent was to commit is durable
-        // anywhere: as the winning member set (merge/add commit) or as
-        // a member's BoundaryRecord (key-move commit).
-        result.pendingCommitted = winning->version >= result.pending->version;
-        for (std::size_t pos = 0;
-             !result.pendingCommitted && pos < result.memberPools.size();
-             ++pos)
-            result.pendingCommitted = hasBoundaryAtVersion(
-                *pools[result.memberPools[pos]], result.pending->version);
+        static_cast<unsigned>(winning->members.size()),
+        winning->boundaries);
+    if (winning->intent) {
+        result.pending = winning->intent;
+        result.pendingCommitted =
+            winning->version >= winning->intent->version;
     }
     return result;
 }

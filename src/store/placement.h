@@ -1,6 +1,8 @@
 /**
  * @file
- * Placement: the pluggable policy that maps keys to shards.
+ * Placement: the pluggable policy that maps keys to shards, and the
+ * store manifest — the one durable record that lets recovery re-derive
+ * it.
  *
  * ShardedStore routes every operation through one of these policies:
  *
@@ -17,68 +19,40 @@
  *    scan visits only the shards whose ranges intersect it — in index
  *    order, streaming results with no merge at all.
  *
- * Durability: a RangePlacement persists one PlacementRecord (a single
- * cache line at the tail of the pool root area) into every shard's pool
- * at store creation, before the first user operation. Recovery reads the
- * records back and re-derives the boundary table; a pool with no record
- * is a hash-placed (or pre-placement) image. HashPlacement writes
- * nothing, preserving the guarantee that a default single-shard store's
- * crash image is byte-identical to a standalone DurableMasstree.
+ * Durability: a range store writes one Manifest into every pool it owns
+ * at creation, before the first user operation, and again at each step
+ * of a transition (see ShardedStore::applyTransition). A manifest is the
+ * whole routing state: the placement version, the member pool ids in
+ * key order, the full boundary table, the next unused pool id, the
+ * pool's own id and any pending transition intent. Recovery takes the
+ * highest-sequence valid manifest across the supplied pools, so it is
+ * self-contained: no record is ever combined with another. HashPlacement
+ * writes nothing, preserving the guarantee that a default single-shard
+ * store's crash image is byte-identical to a standalone DurableMasstree.
  *
- * Online rebalancing adds two more durable structures at the root-area
- * tail (all within kPlacementAreaBytes, see the offset map below):
+ * Root-area tail layout (offsets from the start of the root area; the
+ * masstree DurableRoot fills the head, and shard.cc static_asserts that
+ * the manifest area is exactly what it leaves):
  *
- *  - BoundaryRecord — a *versioned* lower-bound override. A key-move
- *    migration changes exactly one shard's lower bound; committing it
- *    writes a BoundaryRecord {version, newLowerBound} into that shard's
- *    pool. Two slots alternate so the previous version is never
- *    overwritten in place, and the record's magic word is written last
- *    (after the payload is flushed), so a torn write can never present
- *    a valid record with garbage fields. Recovery takes, per shard, the
- *    valid record with the highest version, falling back to the
- *    creation-time PlacementRecord — which is precisely "the old table
- *    stays authoritative until the commit record is durable".
+ *   kRootAreaSize - 4480 .. -2240   manifest slot 0
+ *   kRootAreaSize - 2240 ..     0   manifest slot 1
  *
- *  - MigrationRecord — the migration *intent*, written to both involved
- *    pools before any key is copied: {version, src, dst, [lo, hi),
- *    valueBytes}. It never decides the placement (only BoundaryRecords
- *    do); recovery uses it to finish the bookkeeping of whichever side
- *    of the commit point the crash landed on (free the value buffers of
- *    swept orphan keys), then clears it.
+ * Each slot (see ManifestSlot in placement.cc, byte offsets):
  *
- * Elastic topology (merge / add / retire) adds two more, *above* the
- * legacy area so pre-elasticity images stay byte-compatible:
+ *     0  magic        written last; 0 while the slot is being rewritten
+ *     8  checksum     over bytes [16, used) of the slot
+ *    16  seq          write sequence number (highest valid wins)
+ *    24  version      placement version
+ *    32  poolId, nextPoolId, memberCount, hasIntent   (u32 each)
+ *    48  intent       {version, src, dst, valueBytes, lo, hi}, 112 bytes
+ *   160  memberIds    Manifest::kMaxMembers u32 pool ids, key order
+ *   336  boundaries   {u32 len, 40 bytes}, memberCount-1 of them used
  *
- *  - PoolIdRecord — a stable identity for the pool, independent of its
- *    current routing position. Positions shift when the member set
- *    changes, so every other elastic record names pools by id.
- *
- *  - TopologyRecord — the *versioned member set*: which pool ids form
- *    the store, in key order, plus (inline) the one member whose lower
- *    bound the transition changed. Two slots alternate, magic written
- *    last, and the commit write goes to every pool of the NEW member
- *    set — the first flush is the commit point, and a pool being
- *    retired is never the sole carrier of the latest record. Recovery
- *    takes the highest version across all pools' slots; pools outside
- *    that record's membership are orphans and are discarded wholesale
- *    (which is what makes the orphan sweep idempotent: a re-crash
- *    re-discards them).
- *
- * Root-area tail layout (offsets from the start of the root area):
- *
- *   kRootAreaSize - 768 .. -640   TopologyRecord slot 1
- *   kRootAreaSize - 640 .. -512   TopologyRecord slot 0
- *   kRootAreaSize - 512 .. -448   (reserved)
- *   kRootAreaSize - 448 .. -384   PoolIdRecord
- *   kRootAreaSize - 384 .. -192   MigrationRecord (3 lines: header,
- *                                 lo bytes, hi bytes)
- *   kRootAreaSize - 192 .. -128   BoundaryRecord slot 1
- *   kRootAreaSize - 128 ..  -64   BoundaryRecord slot 0
- *   kRootAreaSize -  64 ..    0   PlacementRecord (creation-time base)
+ * "used" ends after the last used boundary, so a 4-member manifest
+ * writes and flushes 468 bytes, not the whole 2240-byte slot.
  */
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -91,15 +65,22 @@
 
 namespace incll::store {
 
-/** Bytes at the tail of every pool's root area reserved for placement
- *  metadata (base record + boundary slots + migration record). */
-inline constexpr std::size_t kPlacementAreaBytes = 384;
+/** Bytes at the tail of every pool's root area that the two manifest
+ *  slots occupy: what mt::DurableRoot leaves free of the 8 KiB area. */
+inline constexpr std::size_t kManifestAreaBytes = 4480;
 
-/** Bytes reserved at the tail once elastic-topology records are
- *  included (pool id + topology slots above the legacy area). */
-inline constexpr std::size_t kTopologyAreaBytes = 768;
+/** Bytes of one manifest slot (the two split the area evenly). */
+inline constexpr std::size_t kManifestSlotBytes = kManifestAreaBytes / 2;
 
-/** Which placement policy a store uses; persisted in PlacementRecord. */
+/** Byte offset of manifest slot @p slot (0 or 1) in the pool root area. */
+constexpr std::size_t
+manifestSlotOffset(unsigned slot)
+{
+    return nvm::Pool::kRootAreaSize - kManifestAreaBytes +
+           kManifestSlotBytes * slot;
+}
+
+/** Which placement policy a store uses. */
 enum class PlacementKind : std::uint32_t {
     kHash = 0,
     kRange = 1,
@@ -112,141 +93,12 @@ const char *placementName(PlacementKind kind);
 PlacementKind placementKindFromString(std::string_view name);
 
 /**
- * Per-shard durable placement metadata, one cache line at the tail of
- * the pool root area (see recordOffset()). Written once at store
- * creation with a synchronous flush, so a crash at any later point —
- * including mid-preload, before the first epoch boundary — recovers the
- * full boundary table. magic != kMagic means "no record": the pool
- * predates the placement seam or belongs to a hash-placed store.
- */
-struct PlacementRecord
-{
-    static constexpr std::uint64_t kMagic = 0x1ac1b0c7ab1e0001ULL;
-    /** Longest persistable range boundary (record stays one line). */
-    static constexpr std::size_t kMaxBoundaryBytes = 40;
-
-    std::uint64_t magic;
-    std::uint32_t kind;       ///< PlacementKind
-    std::uint32_t shardIndex; ///< this pool's shard position
-    std::uint32_t shardCount; ///< shards in the whole store
-    std::uint32_t lowerBoundLen;
-    /** This shard's range lower bound (shard 0: empty). */
-    unsigned char lowerBound[kMaxBoundaryBytes];
-
-    /** Byte offset of the record inside the pool root area. */
-    static constexpr std::size_t
-    recordOffset()
-    {
-        return nvm::Pool::kRootAreaSize - 64;
-    }
-};
-
-static_assert(sizeof(PlacementRecord) <= 64,
-              "placement record must fit one cache line");
-
-/**
- * Versioned lower-bound override, one cache line, two slots per pool.
- * A migration commit writes the affected shard's new lower bound here
- * with the migration's version; recovery prefers the valid record with
- * the highest version over the creation-time PlacementRecord. Writes go
- * to the slot *not* holding the current highest version (never
- * overwriting it) and store the magic word last, after the payload
- * flush — so at every instant at least one committed boundary is
- * durable and a torn write is simply invisible.
- */
-struct BoundaryRecord
-{
-    static constexpr std::uint64_t kMagic = 0x1ac1b0c7ab1e0002ULL;
-
-    std::uint64_t magic;
-    std::uint64_t version; ///< committed placement version, > 0
-    std::uint32_t lowerBoundLen;
-    std::uint32_t reserved;
-    unsigned char lowerBound[PlacementRecord::kMaxBoundaryBytes];
-
-    /** Byte offset of @p slot (0 or 1) inside the pool root area. */
-    static constexpr std::size_t
-    slotOffset(unsigned slot)
-    {
-        return nvm::Pool::kRootAreaSize - 128 - 64 * slot;
-    }
-};
-
-static_assert(sizeof(BoundaryRecord) <= 64,
-              "boundary record must fit one cache line");
-
-/**
- * Durable pool identity, one cache line, written once (magic-last)
- * before the pool can appear in any TopologyRecord. Ids are allocated
- * from TopologyRecord::nextPoolId and never reused, so a record naming
- * id N can never accidentally resolve to a later pool.
- */
-struct PoolIdRecord
-{
-    static constexpr std::uint64_t kMagic = 0x1ac1b0c7ab1e0004ULL;
-
-    std::uint64_t magic;
-    std::uint32_t poolId;
-    std::uint32_t reserved;
-
-    /** Byte offset of the record inside the pool root area. */
-    static constexpr std::size_t
-    recordOffset()
-    {
-        return nvm::Pool::kRootAreaSize - 448;
-    }
-};
-
-static_assert(sizeof(PoolIdRecord) <= 64,
-              "pool id record must fit one cache line");
-
-/**
- * The versioned member set of an elastic store: pool ids in key order.
- * A topology transition (merge collapses a boundary, add splits one)
- * commits by writing version+1 to BOTH slots' rotation on EVERY pool of
- * the new member set — the first flush is the commit point. At most one
- * member's lower bound changes per transition; it rides inline
- * (affectedPoolId/affectedLower) so the commit stays a single record,
- * and is re-persisted as that pool's own BoundaryRecord right after, so
- * the bound survives the two-slot rotation aging this record out.
- */
-struct TopologyRecord
-{
-    static constexpr std::uint64_t kMagic = 0x1ac1b0c7ab1e0005ULL;
-    /** Elasticity cap: members a record can name (record stays 2 lines). */
-    static constexpr std::uint32_t kMaxMembers = 12;
-    /** affectedPoolId value meaning "no lower bound changed". */
-    static constexpr std::uint32_t kNoAffected = 0xFFFFFFFFu;
-
-    std::uint64_t magic;
-    std::uint64_t version;
-    std::uint32_t memberCount;
-    std::uint32_t nextPoolId; ///< next unused pool id (ids never reused)
-    std::uint32_t affectedPoolId;
-    std::uint32_t affectedLowerLen;
-    unsigned char affectedLower[PlacementRecord::kMaxBoundaryBytes];
-    std::uint32_t memberIds[kMaxMembers]; ///< pool ids, key order
-
-    /** Byte offset of @p slot (0 or 1) inside the pool root area. */
-    static constexpr std::size_t
-    slotOffset(unsigned slot)
-    {
-        return nvm::Pool::kRootAreaSize - 640 - 128 * slot;
-    }
-};
-
-static_assert(sizeof(TopologyRecord) <= 128,
-              "topology record must fit two cache lines");
-
-/**
- * A key-move migration, in transient form. The durable MigrationRecord
- * (3 root-area lines, see migrationRecordOffset()) round-trips this:
- * shard @p src hands the interval [lo, hi) to its neighbour @p dst, and
- * committing bumps the placement to @p version by rewriting the lower
- * bound of shard max(src, dst) to the split key. @p valueBytes is the
- * store's uniform value-buffer size (0 = values are opaque pointers,
- * not pool memory), which recovery needs to free the buffers of swept
- * orphan keys.
+ * A transition in flight, as a manifest's intent records it: shard
+ * @p src (a pool id) hands the interval [lo, hi) to @p dst (a pool id),
+ * and committing raises the placement version to @p version.
+ * @p valueBytes is the store's uniform value-buffer size (0 = values
+ * are opaque pointers, not pool memory), which recovery needs to free
+ * the buffers of swept orphan keys.
  */
 struct MigrationIntent
 {
@@ -255,76 +107,54 @@ struct MigrationIntent
     std::uint32_t dst = 0;
     std::uint32_t valueBytes = 0;
     std::string lo; ///< first moving key (may be empty: shard 0's head)
-    /** One past the last moving key. Empty means +infinity — only a
-     *  topology transition moving the LAST member's whole range writes
-     *  that; a key-move migration's hi is always a real boundary. */
+    /** One past the last moving key; empty means +infinity (the
+     *  interval runs to the end of the last member's range). */
     std::string hi;
-
-    /** The shard whose lower bound the commit rewrites. */
-    std::uint32_t
-    affectedShard() const
-    {
-        return src < dst ? dst : src;
-    }
-
-    /** The committed lower bound of affectedShard(): the split key. */
-    const std::string &
-    newLowerBound() const
-    {
-        return src < dst ? lo : hi;
-    }
-
-    bool
-    contains(std::string_view key) const
-    {
-        return key >= lo && (hi.empty() || key < hi);
-    }
 };
 
-/** Byte offset of the durable MigrationRecord in the pool root area. */
-constexpr std::size_t
-migrationRecordOffset()
+/**
+ * The store manifest: everything recovery needs to rebuild a range
+ * store's routing, written whole to every pool the store owns. Two
+ * slots per pool alternate (a write never touches the slot holding the
+ * pool's newest valid manifest), and a write clears the slot's magic,
+ * flushes the payload and writes the magic last — so a torn write
+ * leaves a slot without a magic word, which simply loses to the other.
+ * A checksum over the payload turns any other damage into a loud
+ * recovery failure instead of a silent re-route.
+ */
+struct Manifest
 {
-    return nvm::Pool::kRootAreaSize - kPlacementAreaBytes;
-}
+    /** Longest persistable range boundary. */
+    static constexpr std::size_t kMaxBoundaryBytes = 40;
+    /** Members a slot can name: the most that two slots fit in
+     *  kManifestAreaBytes (placement.cc static_asserts that this many
+     *  fit and one more would not). */
+    static constexpr std::uint32_t kMaxMembers = 44;
+
+    std::uint64_t seq = 0;     ///< write sequence number, store-wide
+    std::uint64_t version = 0; ///< placement version
+    std::uint32_t poolId = 0;  ///< the id of the pool holding this copy
+    std::uint32_t nextPoolId = 0; ///< the id the next added pool takes
+    std::vector<std::uint32_t> members;  ///< pool ids in key order
+    std::vector<std::string> boundaries; ///< members.size()-1, ascending
+    std::optional<MigrationIntent> intent; ///< the transition in flight
+};
 
 /**
- * Persist @p intent into @p pool (payload lines first, each flushed,
- * header magic last): once the magic is durable, the whole record is.
- * Written to both involved pools before any key moves.
+ * Persist @p manifest into @p pool's slot not holding its newest valid
+ * manifest: magic cleared, payload written and flushed, magic last.
+ * Throws std::invalid_argument when the manifest cannot be persisted
+ * (no members, more than kMaxMembers, a boundary count other than
+ * members-1, or a boundary or interval key over kMaxBoundaryBytes).
  */
-void writeMigrationIntent(nvm::Pool &pool, const MigrationIntent &intent);
-
-/** Drop @p pool's migration record (magic cleared, flushed). Idempotent. */
-void clearMigrationIntent(nvm::Pool &pool);
-
-/** Read back a pool's migration record, if a valid one is present. */
-std::optional<MigrationIntent> readMigrationIntent(const nvm::Pool &pool);
+void writeManifest(nvm::Pool &pool, const Manifest &manifest);
 
 /**
- * Commit half of a migration: durably install shard @p pool's new lower
- * bound at @p version. Picks the boundary slot not holding the current
- * highest version, writes payload-then-magic with flushes in between.
+ * The newest valid manifest of @p pool, if it holds one. A slot whose
+ * magic matches but whose checksum or fields do not throws
+ * std::runtime_error.
  */
-void writeBoundaryRecord(nvm::Pool &pool, std::uint64_t version,
-                         std::string_view lowerBound);
-
-/** Persist @p pool's stable id (magic-last + flush). Written once,
- *  before the pool can be named by any TopologyRecord. */
-void writePoolIdRecord(nvm::Pool &pool, std::uint32_t poolId);
-
-/** Read back a pool's id record, if a valid one is present. */
-std::optional<std::uint32_t> readPoolIdRecord(const nvm::Pool &pool);
-
-/**
- * Persist @p record into @p pool's topology slot not holding the
- * current highest version (payload-then-magic, like BoundaryRecord).
- * @p record.magic is filled in here.
- */
-void writeTopologyRecord(nvm::Pool &pool, const TopologyRecord &record);
-
-/** Highest-version valid topology record of @p pool, if any. */
-std::optional<TopologyRecord> readBestTopologyRecord(const nvm::Pool &pool);
+std::optional<Manifest> readManifest(const nvm::Pool &pool);
 
 /**
  * Key-to-shard routing policy. Stateless after construction and shared
@@ -340,33 +170,6 @@ class Placement
     unsigned shardCount() const { return shards_; }
     const char *name() const { return placementName(kind_); }
 
-    // -- table-epoch pins (the RCU grace period for migration GC) ------
-    //
-    // A multi-step reader (a cross-shard scan) takes its routing
-    // decisions from ONE table snapshot but enters shard gates one at a
-    // time, so a migration's source-side GC could delete moved keys out
-    // from under a snapshot that still routes them to the source. Such
-    // readers pin the table object they snapshotted; a committed
-    // migration's GC waits until the retired table's pin count drains
-    // before deleting anything (see ShardedStore::scan and
-    // moveBoundary's kGc phase). Point operations never pin — they
-    // re-validate their route inside the shard gate and carry the
-    // dual-route fallback, which covers them without the shared
-    // counter. seq_cst on pin() and pinCount() pairs with the seq_cst
-    // table swap (Dekker: pin-then-recheck vs swap-then-read-pins), so
-    // a reader that saw its table still current is guaranteed visible
-    // to the GC's drain.
-
-    void pin() const { pins_.fetch_add(1, std::memory_order_seq_cst); }
-    void unpin() const { pins_.fetch_sub(1, std::memory_order_release); }
-
-    /** Readers currently pinning this table version. */
-    std::uint64_t
-    pinCount() const
-    {
-        return pins_.load(std::memory_order_seq_cst);
-    }
-
     /**
      * True iff shard indices ascend with key ranges: every key owned by
      * shard i compares less than every key owned by shard i+1. A scan
@@ -378,13 +181,6 @@ class Placement
     /** Owning shard of @p key; every key maps to exactly one shard. */
     virtual unsigned shardOf(std::string_view key) const = 0;
 
-    /**
-     * Persist this policy's metadata into shard @p shard's pool (no-op
-     * for policies recoverable without metadata, e.g. hash). Called once
-     * at store creation, before any user operation touches the pool.
-     */
-    virtual void persist(unsigned shard, nvm::Pool &pool) const;
-
   protected:
     Placement(PlacementKind kind, unsigned shards, bool ordered)
         : kind_(kind), shards_(shards), ordered_(ordered)
@@ -395,7 +191,6 @@ class Placement
     const PlacementKind kind_;
     const unsigned shards_;
     const bool ordered_;
-    mutable std::atomic<std::uint64_t> pins_{0};
 };
 
 /**
@@ -433,7 +228,7 @@ class HashPlacement final : public Placement
 /**
  * Ordered key-boundary routing. Constructed from exactly shardCount-1
  * strictly increasing boundaries, each at most
- * PlacementRecord::kMaxBoundaryBytes long (throws std::invalid_argument
+ * Manifest::kMaxBoundaryBytes long (throws std::invalid_argument
  * otherwise). Shard i owns [boundaries[i-1], boundaries[i]), with ""
  * and +inf at the edges.
  */
@@ -495,94 +290,45 @@ class RangePlacement final : public Placement
         return true;
     }
 
-    /**
-     * The boundary table with shard @p s's lower bound replaced by
-     * @p newLower (s >= 1) — the table a migration commit installs.
-     * Validation happens in the RangePlacement constructor the caller
-     * feeds the result to.
-     */
-    std::vector<std::string>
-    withLowerBound(unsigned s, std::string_view newLower) const
-    {
-        std::vector<std::string> b = boundaries_;
-        b.at(s - 1) = std::string(newLower);
-        return b;
-    }
-
-    /** Write shard @p shard's PlacementRecord + synchronous flush. */
-    void persist(unsigned shard, nvm::Pool &pool) const override;
-
   private:
     std::vector<std::string> boundaries_;
 };
 
 /**
- * What placement recovery found in a set of crashed pools: the
- * effective routing policy, the highest committed placement version,
- * and — when a migration's intent record was still present — the
- * migration the crash interrupted, with whether its commit record made
- * it to durable media. The caller (ShardedStore recovery) uses the
- * pending intent only for cleanup bookkeeping: the placement itself is
- * already exactly the old table (commit not durable) or exactly the
- * new one (commit durable), never a mix.
+ * What recovery found in a set of crashed pools: the routing policy,
+ * the committed member set and, when the winning manifest carried one,
+ * the transition the crash interrupted. `memberPools[pos]` is the index
+ * (into the input vector) of the pool routed at position `pos`;
+ * `orphanPools` are input pools outside the committed membership — a
+ * crash before an add's commit or after a merge's leaves exactly such
+ * pools, and the caller discards them wholesale, buffers and all. The
+ * pending intent is only cleanup bookkeeping: the placement is already
+ * exactly the old table (commit not durable) or exactly the new one.
  */
-struct PlacementRecovery
+struct StoreRecovery
 {
     std::unique_ptr<Placement> placement;
     std::uint64_t version = 0;
-    std::optional<MigrationIntent> pending;
-    bool pendingCommitted = false;
-};
-
-/**
- * Re-derive a store's placement from its crashed pools (shard order):
- * RangePlacement when every pool carries a consistent range record,
- * HashPlacement when none does. Per shard, the lower bound is the
- * highest-version valid BoundaryRecord if any, else the creation-time
- * PlacementRecord — so a torn migration recovers to exactly the old
- * table and a committed one to exactly the new. A mix of hash and
- * range pools — or records disagreeing about the shard count or their
- * own positions — throws std::runtime_error (the pools are not one
- * store's shards).
- */
-PlacementRecovery
-recoverPlacement(const std::vector<std::unique_ptr<nvm::Pool>> &pools);
-
-/**
- * What topology recovery found: PlacementRecovery's fields plus the
- * committed member set. `memberPools[pos]` is the index (into the input
- * vector) of the pool routed at position `pos`; `orphanPools` are input
- * pools outside the committed membership — a crash between a topology
- * commit and the retire (or mid-add before the commit) leaves exactly
- * such pools, and the caller discards them wholesale, buffers and all.
- * On a store with no TopologyRecord anywhere (`topologyGoverned` false)
- * this degrades to recoverPlacement(): members are the input positions.
- */
-struct TopologyRecovery
-{
-    std::unique_ptr<Placement> placement;
-    std::uint64_t version = 0;
+    std::uint64_t seq = 0; ///< the winning manifest's write sequence
     std::vector<std::size_t> memberPools;
     std::vector<std::uint32_t> memberIds;
     std::vector<std::size_t> orphanPools;
     std::uint32_t nextPoolId = 0;
-    bool topologyGoverned = false;
     std::optional<MigrationIntent> pending;
     bool pendingCommitted = false;
 };
 
 /**
- * Re-derive an elastic store's member set and placement from its
- * crashed pools (any order). The winning TopologyRecord is the highest
- * version across every pool's slots; a member pool it names that is not
- * in the input throws (the pool set is incomplete), while an input pool
- * it does not name is an orphan. Per member, the lower bound is the
- * highest-version candidate among its BoundaryRecords, the winning
- * record's inline affected bound, and the creation-time
- * PlacementRecord. Intent src/dst are pool IDS on this path (positions
- * only on the legacy recoverPlacement() path, where ids == positions).
+ * Re-derive a store's routing from its crashed pools (any order). With
+ * no manifest in any pool the store was hash-placed, and the pools are
+ * its shards in order. Otherwise the highest-sequence valid manifest
+ * across every pool's slots decides: it names the members by pool id
+ * (each pool's id comes from its own newest manifest), carries the full
+ * boundary table, and its intent counts as committed once its version
+ * has been reached. Throws std::runtime_error when a named member is
+ * missing, two pools claim one id, or a slot is corrupt.
  */
-TopologyRecovery
-recoverTopology(const std::vector<std::unique_ptr<nvm::Pool>> &pools);
+StoreRecovery
+recoverManifest(const std::vector<std::unique_ptr<nvm::Pool>> &pools);
 
 } // namespace incll::store

@@ -6,14 +6,13 @@
 
 namespace incll::store {
 
-// The store layer keeps its durable placement metadata (base record,
-// boundary slots, migration record, pool id + topology slots) in the
+// The store layer keeps its manifest (two slots, see placement.h) in the
 // tail of the pool root area; the masstree layer's DurableRoot grows
 // from the head. They share the 8 KiB area, so neither may reach the
-// other.
-static_assert(sizeof(mt::DurableRoot) <=
-                  nvm::Pool::kRootAreaSize - kTopologyAreaBytes,
-              "DurableRoot would overlap the store placement records");
+// other — and the manifest takes everything the root leaves free.
+static_assert(sizeof(mt::DurableRoot) + kManifestAreaBytes ==
+                  nvm::Pool::kRootAreaSize,
+              "the manifest area must be exactly what DurableRoot leaves");
 
 Shard::Shard(std::size_t poolBytes, nvm::Mode mode, std::uint64_t poolSeed,
              const StoreConfig &config)

@@ -70,19 +70,16 @@ ShardedStore::ShardedStore(const Options &options)
         throw std::invalid_argument("ShardedStore needs at least 1 shard");
     Placement *pl = adoptPlacement(
         makePlacement(options.config, options.shards));
-    migrationPossible_ = pl->ordered() && options.shards > 1;
+    if (pl->ordered() && options.shards > Manifest::kMaxMembers)
+        throw std::invalid_argument(
+            "a range store can have at most Manifest::kMaxMembers shards");
+    migrationPossible_ = pl->ordered();
     trackHotness_ = options.config.trackHotness;
     recordOpLatency_ = options.config.recordOpLatency;
     poolBytes_ = options.poolBytesPerShard;
     mode_ = options.mode;
     seed_ = options.seed;
     config_ = options.config;
-    // Fresh multi-shard range stores within the member cap are
-    // topology governed from birth: pool ids + a version-0 membership
-    // record, the durable base every later merge/add commit versions
-    // against.
-    const bool governed = migrationPossible_ &&
-                          options.shards <= TopologyRecord::kMaxMembers;
     auto topo = std::make_unique<Topology>();
     topo->placement = pl;
     topo->nextPoolId = options.shards;
@@ -97,26 +94,11 @@ ShardedStore::ShardedStore(const Options &options)
         topo->shards.push_back(s);
     }
     Topology *t = adoptTopology(std::move(topo), 0);
-    // Persist the policy's metadata (range: one boundary record per
-    // pool, flushed) before any user operation, so recovery re-derives
-    // the routing from a crash at any later point.
-    for (unsigned i = 0; i < options.shards; ++i)
-        pl->persist(i, t->shards[i]->pool());
-    if (governed) {
-        TopologyRecord rec{};
-        rec.version = 0;
-        rec.memberCount = options.shards;
-        rec.nextPoolId = options.shards;
-        rec.affectedPoolId = TopologyRecord::kNoAffected;
-        rec.affectedLowerLen = 0;
-        for (unsigned i = 0; i < options.shards; ++i)
-            rec.memberIds[i] = i;
-        for (unsigned i = 0; i < options.shards; ++i) {
-            writePoolIdRecord(t->shards[i]->pool(), i);
-            writeTopologyRecord(t->shards[i]->pool(), rec);
-        }
-        topologyGoverned_.store(true, std::memory_order_release);
-    }
+    // A range store's version-0 manifest goes to every pool before any
+    // user operation, so recovery re-derives the routing from a crash
+    // at any later point. Hash stores write nothing.
+    if (migrationPossible_)
+        writeManifests(*t, 0, nullptr);
 }
 
 ShardedStore::ShardedStore(std::vector<std::unique_ptr<nvm::Pool>> pools,
@@ -126,21 +108,17 @@ ShardedStore::ShardedStore(std::vector<std::unique_ptr<nvm::Pool>> pools,
         throw std::invalid_argument("ShardedStore recovery needs >= 1 pool");
     // The pools say how the crashed store routed keys and which pools
     // are members at all; the config's placement fields are ignored
-    // (they describe fresh stores). The effective table already
-    // resolves any interrupted migration or topology transition to
-    // exactly its old or new side (whichever side of the commit record
-    // the crash fell on); `recovered.pending` only carries the
-    // bookkeeping needed to sweep the loser's orphan copies below, and
-    // `recovered.orphanPools` the pools outside the committed member
-    // set, discarded wholesale here.
-    TopologyRecovery recovered = recoverTopology(pools);
+    // (they describe fresh stores). The winning manifest already
+    // resolves any interrupted transition to exactly its old or new
+    // side (whichever side of the commit the crash fell on);
+    // `recovered.pending` only carries the bookkeeping needed to sweep
+    // the loser's orphan copies below, and `recovered.orphanPools` the
+    // pools outside the committed member set, discarded wholesale here.
+    StoreRecovery recovered = recoverManifest(pools);
     Placement *pl = adoptPlacement(std::move(recovered.placement));
     placementVersion_.store(recovered.version, std::memory_order_release);
-    migrationPossible_ =
-        pl->ordered() &&
-        (recovered.memberPools.size() > 1 || recovered.topologyGoverned);
-    topologyGoverned_.store(recovered.topologyGoverned,
-                            std::memory_order_release);
+    manifestSeq_ = recovered.seq;
+    migrationPossible_ = pl->ordered();
     trackHotness_ = config.trackHotness;
     recordOpLatency_ = config.recordOpLatency;
     mode_ = pools[recovered.memberPools[0]]->mode();
@@ -165,12 +143,12 @@ ShardedStore::ShardedStore(std::vector<std::unique_ptr<nvm::Pool>> pools,
         // Obs series are labeled by the durable pool id, not the
         // position — ids are stable across topology changes, so a
         // shard keeps its series when positions re-number (and equals
-        // the historical position label on non-elastic stores).
+        // the historical position label on hash stores).
         s->tree().epochs().setStatShard(
             static_cast<int>(recovered.memberIds[pos]));
         topo->shards.push_back(s);
     }
-    adoptTopology(std::move(topo), 0);
+    const Topology *t = adoptTopology(std::move(topo), 0);
     // Pools outside the committed member set — a mid-add destination
     // whose commit never flushed, or a merged-out shard that was
     // awaiting retirement — are discarded wholesale, value buffers and
@@ -187,29 +165,22 @@ ShardedStore::ShardedStore(std::vector<std::unique_ptr<nvm::Pool>> pools,
     // source leftovers of a committed move/add). Orphans can only exist
     // while an intent is uncleared — it is flushed before the first key
     // is copied and dropped only after the GC's epoch advance — so a
-    // store with no pending intent skips the whole-store scan. The
+    // store with no pending intent skips the sweep. The
     // deletions live in the current epoch: a crash before the next
     // boundary simply re-runs the identical sweep.
-    if (migrationPossible_ && recovered.pending) {
-        recoveryInfo_.sweptKeys = sweepOutOfRangeKeys(recovered.pending);
-        // The intent names its parties by pool id on the governed path
-        // (ids == positions on the legacy one). A side whose pool was
-        // discarded as an orphan — the src of a committed merge, the
-        // dst of an uncommitted add — has nothing to advance or clear.
-        const Topology *t = topology_.load(std::memory_order_acquire);
-        for (const std::uint32_t id : {recovered.pending->src,
-                                       recovered.pending->dst}) {
-            for (Shard *s : t->shards) {
-                if (s->poolId() != id)
-                    continue;
-                // Commit the sweep (and its value frees) before
-                // dropping the intent: a crash in between re-runs an
-                // empty sweep, never a second free.
+    if (recovered.pending) {
+        recoveryInfo_.sweptKeys = sweepOutOfRangeKeys(*recovered.pending);
+        // The intent names its parties by pool id. A side whose pool
+        // was discarded as an orphan — the src of a committed merge,
+        // the dst of an uncommitted add — has nothing to advance.
+        // Commit the sweep (and its value frees) before dropping the
+        // intent: a crash in between re-runs an empty sweep, never a
+        // second free.
+        for (Shard *s : t->shards)
+            if (s->poolId() == recovered.pending->src ||
+                s->poolId() == recovered.pending->dst)
                 s->tree().advanceEpoch();
-                clearMigrationIntent(s->pool());
-                break;
-            }
-        }
+        writeManifests(*t, recovered.version, nullptr);
     }
 }
 
@@ -291,10 +262,10 @@ ShardedStore::releasePools()
     std::vector<std::unique_ptr<nvm::Pool>> pools;
     std::lock_guard lk(ownedMu_);
     pools.reserve(owned_.size());
-    // Members first, in position order — the order the legacy recovery
-    // path needs (governed recovery resolves pools by id and does not
-    // care) — then unrouted shards awaiting retirement, whose pools a
-    // crash turns into recovery-discarded orphans.
+    // Members first, in position order — the order a hash store's
+    // recovery needs (a range store's resolves pools by id and does
+    // not care) — then unrouted shards awaiting retirement, whose pools
+    // a crash turns into recovery-discarded orphans.
     const Topology *t = topology_.load(std::memory_order_acquire);
     for (Shard *member : t->shards) {
         for (OwnedShard &o : owned_)

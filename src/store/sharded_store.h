@@ -18,7 +18,7 @@
  * range routing keeps a key range inside the shards whose boundary
  * intervals it intersects, so a scan walks only those shards in order
  * and streams results with no merge at all. Recovery re-derives the
- * policy from durable per-pool placement records, so a recovered store
+ * policy from the per-pool store manifests, so a recovered store
  * routes exactly as the crashed one did.
  *
  * The API mirrors the DurableMasstree shape the YCSB driver expects
@@ -31,9 +31,9 @@
  * A single-shard store under the default hash placement is byte-for-
  * byte the old design: shard 0's pool receives exactly the store
  * sequence a standalone DurableMasstree would, and the store layer
- * writes no durable metadata of its own. (Range placement writes
- * boundary/topology metadata per pool — the durable additions, and the
- * reason recovery can re-derive the routing.)
+ * writes no durable metadata of its own. (A range store writes its
+ * manifest into every pool — the durable addition, and the reason
+ * recovery can re-derive the routing.)
  *
  * Elastic topology: the routing table AND the shard set now change at
  * runtime. Every routing decision goes through one atomically-published
@@ -46,16 +46,18 @@
  * the table just before a commit can never observe moved keys as
  * absent, nor touch a shard that no longer exists.
  *
- * Cross-shard mutation protocols, all committed by one flushed record:
+ * Cross-shard transitions. The first three only build a plan (the
+ * interval to copy, the next topology, whether the destination is a
+ * fresh shard, whether the source's copies are swept) for the one
+ * transition engine, applyTransition() in src/store/migration.cc, and
+ * all three commit by one manifest write to every owned pool:
  *
  *  - moveBoundary() — hand a key interval to an adjacent shard
- *    (commit: one BoundaryRecord; see MovePhase + src/store/migration.cc)
  *  - mergeBoundary() — stream a whole shard's range into its adjacent
  *    neighbour and collapse the boundary; the emptied shard leaves the
- *    member set (commit: one TopologyRecord on every surviving pool)
+ *    member set
  *  - addShard() — spin up a fresh pool/epochs/log/allocator/tree via
- *    the Shard lifecycle and split a hot interval into it (commit: one
- *    TopologyRecord naming the grown member set)
+ *    the Shard lifecycle and split a hot interval into it
  *  - retireShard() — destroy a drained, unrouted shard: wait out the
  *    table-epoch grace period, stop its timers, unregister its tracked
  *    pool (Pool teardown), release the memory. No durable write — the
@@ -75,7 +77,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -90,28 +91,30 @@
 namespace incll::store {
 
 /**
- * Phases of the cross-shard migration protocols (moveBoundary,
- * mergeBoundary, addShard — all three run this state machine over a
- * [lo, hi) interval; merge and add just pick the interval to be a whole
- * shard's range). The durable commit point is the record write inside
- * kCommit (BoundaryRecord for a move, TopologyRecord for merge/add): a
- * crash strictly before it recovers to exactly the old placement and
- * member set (copies already in the destination are swept or discarded
- * as orphans), a crash at or after it recovers to exactly the new —
- * never a mix.
+ * Phases of the transition engine (moveBoundary, mergeBoundary and
+ * addShard all run this state machine over a [lo, hi) interval; merge
+ * and add just pick the interval to be a whole shard's range). The
+ * durable commit point is the manifest write inside kCommit: a crash
+ * strictly before its first completed copy recovers to exactly the old
+ * placement and member set (copies already in the destination are
+ * swept or discarded as orphans), a crash after it recovers to exactly
+ * the new — never a mix.
  *
- *   kPrepare  window published, in-flight ops drained, intent records
- *             flushed to both pools; writers to the moving interval now
- *             dual-apply to source and destination. (addShard also
- *             creates the destination shard here, pool id flushed.)
+ *   kPrepare  manifest {old table, intent} flushed to every owned pool,
+ *             window published, in-flight ops drained; writers to the
+ *             moving interval now dual-apply to source and destination.
+ *             (addShard creates the destination shard first, so the
+ *             manifest carries its id before any table can name it.)
  *   kCopy     the interval streams into the destination in chunks
  *   kCommit   short pause of interval writers: destination epoch
- *             advance, commit-record flush (THE commit), topology swap
+ *             advance, manifest {new table, intent} (THE commit),
+ *             topology swap
  *   kGc       old snapshot retired; once every reader pinning it
  *             releases (the table-epoch grace period) the source-side
  *             leftovers are swept (move/add; a merge's source dies
- *             wholesale at retirement instead) and intents cleared;
- *             lookups that miss dual-route to the peer shard
+ *             wholesale at retirement instead), then manifest
+ *             {new table, no intent}; lookups that miss dual-route to
+ *             the peer shard
  *   kDone     migration complete, window retired
  */
 enum class MovePhase { kPrepare = 0, kCopy, kCommit, kGc, kDone };
@@ -176,7 +179,7 @@ struct RecoveryInfo
 {
     std::uint64_t placementVersion = 0;
     bool migrationPending = false;   ///< an uncleared intent was found
-    bool migrationCommitted = false; ///< its commit record was durable
+    bool migrationCommitted = false; ///< its commit manifest was durable
     std::uint64_t sweptKeys = 0;     ///< out-of-range orphans deleted
     /** Pools outside the committed member set, discarded wholesale
      *  (mid-add destinations, merged-out shards awaiting retirement). */
@@ -199,13 +202,12 @@ class ShardedStore
 
     /**
      * Create a fresh store of options.shards empty shards, routed by
-     * options.config.placement. Range placement persists its boundary
-     * table (one record per pool, synchronously flushed) before
-     * returning; a multi-shard range store within the elasticity cap
-     * (TopologyRecord::kMaxMembers) additionally persists pool ids and
-     * a version-0 TopologyRecord, making it *topology governed* — the
-     * prerequisite for merge/add/retire. Throws std::invalid_argument
-     * on a malformed configuration (zero shards, bad boundary table).
+     * options.config.placement. A range store writes its version-0
+     * manifest into every pool (synchronously flushed) before
+     * returning, so recovery re-derives the routing from a crash at any
+     * later point. Throws std::invalid_argument on a malformed
+     * configuration (zero shards, bad boundary table, a range store of
+     * more than Manifest::kMaxMembers shards).
      */
     explicit ShardedStore(const Options &options);
 
@@ -213,15 +215,15 @@ class ShardedStore
      * Whole-store crash recovery: adopt the crashed pools and recover
      * every member shard independently. Any subset of the shards may
      * have a failed epoch in flight. The placement policy AND the
-     * member set are re-derived from the pools' durable records — a
+     * member set are re-derived from the pools' manifests — a
      * config's placement fields are ignored here — so routing after
-     * recovery is exactly the crashed store's. Topology-governed pools
-     * may arrive in any order (the TopologyRecord names members by
-     * pool id); legacy pools must arrive in shard order, the same
-     * order releasePools() returned them. Pools outside the committed
-     * member set (a mid-add destination, a merged-out shard) are
-     * discarded wholesale. Throws std::runtime_error if the pools'
-     * records are inconsistent (not one store's shards).
+     * recovery is exactly the crashed store's. A range store's pools
+     * may arrive in any order (the manifest names members by pool id);
+     * a hash store's must arrive in shard order, the order
+     * releasePools() returned them. Pools outside the committed member
+     * set (a mid-add destination, a merged-out shard) are discarded
+     * wholesale. Throws std::runtime_error if the manifests are
+     * inconsistent (not one store's shards) or corrupt.
      */
     ShardedStore(std::vector<std::unique_ptr<nvm::Pool>> pools, RecoverTag,
                  const StoreConfig &config);
@@ -231,9 +233,9 @@ class ShardedStore
 
     // -- topology ----------------------------------------------------
 
-    /** Number of member shards. Fixed for non-elastic stores; under an
-     *  elastic topology it changes when a merge/add commits — callers
-     *  holding an index across such a commit must re-read it. */
+    /** Number of member shards. Fixed for hash stores; a range store's
+     *  changes when a merge/add commits — callers holding an index
+     *  across such a commit must re-read it. */
     unsigned
     shardCount() const
     {
@@ -260,17 +262,6 @@ class ShardedStore
         return topology_.load(std::memory_order_acquire)
             ->shards[pos]
             ->poolId();
-    }
-
-    /** True once this store governs its member set durably (pool ids +
-     *  TopologyRecord) — the prerequisite for merge/add/retire. Fresh
-     *  multi-shard range stores within the member cap are governed
-     *  from construction; recovered legacy range stores upgrade
-     *  lazily, at their first topology operation. */
-    bool
-    topologyGoverned() const
-    {
-        return topologyGoverned_.load(std::memory_order_acquire);
     }
 
     /** Pool ids of owned shards that are NOT in the routing topology —
@@ -502,9 +493,8 @@ class ShardedStore
         return migration_.load(std::memory_order_acquire) != nullptr;
     }
 
-    /** True iff this store can ever migrate a key interval (range
-     *  placement, and either multiple shards or a governed topology —
-     *  a governed single-member store can addShard back up). Front-
+    /** True iff this store can ever migrate a key interval: range
+     *  placement (a single-member range store can addShard). Front-
      *  ends use this to pick between the resolved-shard install fast
      *  path and the gate-checked store API; constant for the store's
      *  lifetime. */
@@ -842,9 +832,9 @@ class ShardedStore
      * the kCommit window (MoveResult::pauseNs).
      *
      * Durability: the old boundary table stays authoritative until the
-     * new BoundaryRecord is flushed inside kCommit; a crash at any
-     * point recovers to exactly the old or exactly the new placement,
-     * with orphan copies swept by recovery (see RecoveryInfo).
+     * commit manifest is flushed inside kCommit; a crash at any point
+     * recovers to exactly the old or exactly the new placement, with
+     * orphan copies swept by recovery (see RecoveryInfo).
      *
      * Requires range placement, adjacent shards, and a split key
      * strictly inside src's range (throws std::invalid_argument), and
@@ -862,20 +852,19 @@ class ShardedStore
      * @p dst: stream src's whole range into dst, collapse the boundary
      * between them, and drop src from the member set — all while the
      * store keeps serving, with the same phase structure and writer
-     * guarantees as moveBoundary(). The commit is one TopologyRecord
-     * (version+1, the shrunken member set) flushed to every surviving
-     * pool; a crash strictly before the first flush recovers the old
-     * member set (dst's copies swept as orphans), at or after it the
-     * new (src's pool discarded wholesale as an orphan).
+     * guarantees as moveBoundary(). The commit is one manifest
+     * (version+1, the shrunken member set) flushed to every owned pool;
+     * a crash before the first completed copy recovers the old member
+     * set (dst's copies swept as orphans), after it the new (src's pool
+     * discarded wholesale as an orphan).
      *
      * The emptied shard is NOT destroyed here: it leaves the routing
      * topology and awaits retireShard() (see unroutedPoolIds()), so
      * in-flight readers drain on their own schedule.
      *
-     * Requires a topology-governed store (a recovered legacy range
-     * store upgrades on first use), adjacent positions, and >= 2
-     * members (throws std::invalid_argument); throws
-     * std::runtime_error when another migration is in flight.
+     * Requires a range store, adjacent positions, and >= 2 members
+     * (throws std::invalid_argument); throws std::runtime_error when
+     * another migration is in flight.
      */
     MoveResult mergeBoundary(unsigned src, unsigned dst,
                              const MoveOptions &opts = {});
@@ -885,16 +874,16 @@ class ShardedStore
      * (fresh pool, epochs, log, allocator, tree — the full Shard
      * lifecycle), stream src's tail [@p splitKey, src.upper) into it,
      * and commit it as the member at position src+1. The commit is one
-     * TopologyRecord (version+1, the grown member set, the new
-     * member's bound inline) flushed to every pool of the NEW set; a
-     * crash strictly before the first flush recovers the old member
-     * set and discards the half-filled new pool wholesale, at or after
-     * it recovers the new set with src's leftovers swept.
+     * manifest (version+1, the grown member set) flushed to every owned
+     * pool, the new one included; a crash before the first completed
+     * copy recovers the old member set and discards the half-filled new
+     * pool wholesale, after it recovers the new set with src's
+     * leftovers swept.
      *
-     * Requires a topology-governed store, @p splitKey strictly inside
-     * src's range and persistable, and membership below
-     * TopologyRecord::kMaxMembers (throws std::invalid_argument);
-     * throws std::runtime_error when another migration is in flight.
+     * Requires a range store, @p splitKey strictly inside src's range
+     * and persistable, and membership below Manifest::kMaxMembers
+     * (throws std::invalid_argument); throws std::runtime_error when
+     * another migration is in flight.
      */
     MoveResult addShard(unsigned src, std::string_view splitKey,
                         const MoveOptions &opts = {});
@@ -909,7 +898,7 @@ class ShardedStore
      * left the durable membership at its merge commit, so recovery
      * after a crash anywhere around retirement discards the pool
      * wholesale as an orphan — retirement is the in-memory half of a
-     * transition the TopologyRecord already committed.
+     * transition the manifest already committed.
      *
      * Throws std::invalid_argument if the shard is still routed, and
      * std::runtime_error when a migration is in flight.
@@ -1033,9 +1022,9 @@ class ShardedStore
      * current — a lost race with a committing swap unpins and retries,
      * so a successful construction guarantees the snapshot's grace
      * drain (which runs strictly after the swap) observes the pin and
-     * waits for it. Non-elastic stores (hash, single fixed shard)
-     * skip the pin entirely — their snapshot never changes, so the
-     * hot path stays free of shared-counter RMWs.
+     * waits for it. Hash stores skip the pin entirely — their
+     * snapshot never changes, so the hot path stays free of
+     * shared-counter RMWs.
      */
     class TopoGuard
     {
@@ -1164,29 +1153,46 @@ class ShardedStore
         return w != nullptr && (w->srcShard == sh || w->dstShard == sh);
     }
 
-    // Migration internals (src/store/migration.cc).
+    /**
+     * One validated transition: the interval [lo, hi) moving from the
+     * member at position @p src to the member at position @p dst, and
+     * the topology its commit installs. A fresh destination (addShard)
+     * is created by the engine at kPrepare and fills the nullptr slot
+     * of @p nextShards; @p dst is unused then.
+     */
+    struct TransitionPlan
+    {
+        unsigned src = 0;
+        unsigned dst = 0;
+        bool freshShard = false;
+        /** Sweep [lo, hi) out of the source after the commit (a
+         *  merge's source instead leaves the topology whole). */
+        bool gcSource = true;
+        std::string lo;
+        std::string hi; ///< empty = +infinity
+        std::vector<std::string> nextBoundaries;
+        std::vector<Shard *> nextShards;
+        Stat doneStat = Stat::kRebalances;
+    };
+
+    // Transition planning (src/store/topology.cc) and the engine with
+    // its parts (src/store/migration.cc).
+    std::unique_lock<std::mutex> lockTransitions();
+    MoveResult applyTransition(TransitionPlan plan, const MoveOptions &opts);
+    void writeManifests(const Topology &t, std::uint64_t version,
+                        const MigrationIntent *intent);
     bool migrationPut(std::string_view key, void *val, void **oldOut);
     bool migrationRemove(std::string_view key, void **oldOut);
     void freeValueInOwningPool(void *p, std::size_t bytes);
-    void installMovedTable(unsigned affectedPos, std::string_view newLower,
-                           std::uint64_t version);
-    std::uint64_t
-    sweepOutOfRangeKeys(const std::optional<MigrationIntent> &pending);
-    void gcSourceRange(const MigrationWindow &w, const MoveOptions &opts);
+    std::uint64_t eraseRange(Shard &sh, std::string_view lo,
+                             std::string_view hi, std::size_t valueBytes);
+    std::uint64_t sweepOutOfRangeKeys(const MigrationIntent &pending);
     MigrationWindow *publishWindow(Shard *src, Shard *dst,
-                                   const MigrationIntent &intent,
-                                   std::size_t valueBytes);
-    void retireWindow(MigrationWindow &w);
+                                   const MigrationIntent &intent);
     std::uint64_t drainRetiredPins(std::uint64_t version) const;
     bool copyInterval(const MigrationIntent &intent, Shard &src, Shard &dst,
                       MigrationWindow &w, const MoveOptions &opts,
                       MoveResult &res);
-
-    // Topology transitions (src/store/topology.cc).
-    void ensureTopologyGoverned();
-    void commitTopologyRecord(const Topology &next, std::uint64_t version,
-                              std::uint32_t affectedPoolId,
-                              std::string_view affectedLower);
 
     /**
      * RAII hold over a per-shard subset of the gates, releasable early
@@ -1458,10 +1464,12 @@ class ShardedStore
     /** True only for stores that can migrate or change topology;
      *  everything else skips every migration check. */
     bool migrationPossible_ = false;
-    std::atomic<bool> topologyGoverned_{false};
     std::atomic<MigrationWindow *> migration_{nullptr};
     std::vector<std::unique_ptr<MigrationWindow>> migrationHistory_;
     std::mutex moveMu_; ///< one move/merge/add/retire at a time
+    /** Sequence number of the last manifest written (under moveMu_,
+     *  or during construction/recovery). */
+    std::uint64_t manifestSeq_ = 0;
 
     bool trackHotness_ = false;
     /** config.recordOpLatency: per-op store_*_ns histogram recording. */

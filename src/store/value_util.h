@@ -41,11 +41,11 @@ installValue(Store &s, std::string_view key, const void *payload,
              std::size_t payloadBytes, std::size_t bufferBytes)
 {
     if constexpr (requires { s.shard(s.shardOf(key)); }) {
-        // Sharded store that can never migrate (hash or single-shard):
-        // resolve the owning shard once and install against its tree
-        // directly — alloc, put and free all route to the same shard,
-        // so hashing the key three times would be waste. A range-placed
-        // multi-shard store instead goes through the store's own
+        // Sharded store that can never migrate (hash): resolve the
+        // owning shard once and install against its tree directly —
+        // alloc, put and free all route to the same shard, so hashing
+        // the key three times would be waste. A range-placed store
+        // instead goes through the store's own
         // gate-checked put: a direct tree install could race a
         // migration window's publish and bypass its dual-write, losing
         // the update at the table swap. (Range routing is a binary

@@ -4,10 +4,13 @@
  * policies, range-scan shard-interval selection (the acceptance bar:
  * a scan enters no more gates than shards whose ranges intersect it),
  * durable boundary-table recovery, crash mid-preload under range
- * placement, and the merged-scan gate-release fix under hash.
+ * placement, the merged-scan gate-release fix under hash, and the store
+ * manifest (round trip, torn and corrupt slots, a 16-member store
+ * through merge, add, crash and shuffled recovery).
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -119,7 +122,7 @@ TEST(PlacementConfig, RejectsMalformedTables)
     // Over-long boundary cannot be persisted.
     EXPECT_THROW(
         ShardedStore{rangeOptions(
-            2, {std::string(PlacementRecord::kMaxBoundaryBytes + 1, 'x')})},
+            2, {std::string(Manifest::kMaxBoundaryBytes + 1, 'x')})},
         std::invalid_argument);
     // Boundaries with hash placement are a configuration error.
     ShardedStore::Options o = directOptions(2);
@@ -333,7 +336,7 @@ TEST(PlacementRecovery, BoundaryTableRestoredByteIdentically)
                                                     .logBufferBytes = 1u
                                                                       << 20});
 
-    // The policy came back from the pool records, byte for byte.
+    // The policy came back from the pool manifests, byte for byte.
     ASSERT_EQ(st->placement().kind(), PlacementKind::kRange);
     const auto &rp = static_cast<const RangePlacement &>(st->placement());
     EXPECT_EQ(rp.boundaries(), boundaries);
@@ -371,10 +374,9 @@ TEST(PlacementRecovery, HashPoolsRecoverAsHash)
 
 TEST(PlacementRecovery, ShuffledPoolsResolvedByDurableIdentity)
 {
-    // Topology-governed stores (every fresh multi-shard range store)
-    // name members by durable pool id, not by the order the operator
-    // hands the pools back — a shuffled vector must recover the exact
-    // crashed routing, not a transposed one.
+    // Range stores name members by durable pool id, not by the order
+    // the operator hands the pools back — a shuffled vector must
+    // recover the exact crashed routing, not a transposed one.
     ShardedStore::Options o = rangeOptions(2, {"m"});
     o.mode = nvm::Mode::kTracked;
     auto st = std::make_unique<ShardedStore>(o);
@@ -408,7 +410,7 @@ TEST(PlacementRecovery, DuplicatePoolIdentityIsRejected)
 {
     // Corrupt metadata must refuse loudly, never silently re-route: two
     // pools claiming the same durable identity cannot be one store's
-    // shards, whatever the topology record says.
+    // shards, whatever the manifest says.
     ShardedStore::Options o = rangeOptions(2, {"m"});
     o.mode = nvm::Mode::kTracked;
     auto st = std::make_unique<ShardedStore>(o);
@@ -417,7 +419,10 @@ TEST(PlacementRecovery, DuplicatePoolIdentityIsRejected)
     st.reset();
     for (auto &pool : pools)
         pool->crash();
-    writePoolIdRecord(*pools[1], 0); // now both pools claim id 0
+    Manifest forged = *readManifest(*pools[1]);
+    forged.seq += 1;   // the newest manifest of its pool...
+    forged.poolId = 0; // ...so now both pools claim id 0
+    writeManifest(*pools[1], forged);
     EXPECT_THROW(ShardedStore(std::move(pools), kRecover, StoreConfig{}),
                  std::runtime_error);
 }
@@ -489,6 +494,229 @@ TEST(PlacementRecovery, CrashMidPreloadRecoversCleanly)
     void *out = nullptr;
     EXPECT_TRUE(st->get("post-crash-key", out));
     EXPECT_EQ(out, tag(99));
+}
+
+// ---- the store manifest ------------------------------------------------
+
+/** Root-area bytes of manifest slot @p slot (byte map in placement.h). */
+char *
+slotBytes(nvm::Pool &pool, unsigned slot)
+{
+    return static_cast<char *>(pool.rootArea()) + manifestSlotOffset(slot);
+}
+
+/** The write sequence number stored in slot @p slot (offset 16). */
+std::uint64_t
+slotSeq(nvm::Pool &pool, unsigned slot)
+{
+    std::uint64_t seq;
+    std::memcpy(&seq, slotBytes(pool, slot) + 16, sizeof(seq));
+    return seq;
+}
+
+/** Crash every pool of @p st (after a checkpoint) and hand them back. */
+std::vector<std::unique_ptr<nvm::Pool>>
+crashPools(std::unique_ptr<ShardedStore> &st)
+{
+    st->advanceEpoch();
+    auto pools = st->releasePools();
+    st.reset();
+    for (auto &pool : pools)
+        pool->crash(0.3);
+    return pools;
+}
+
+StoreConfig
+smallConfig()
+{
+    return StoreConfig{.logBuffers = 4, .logBufferBytes = 1u << 20};
+}
+
+TEST(StoreManifest, KeysWithNulAndAtMaxLengthRoundTrip)
+{
+    const std::string maxLen(Manifest::kMaxBoundaryBytes, 'm');
+    const std::string nulAtMax =
+        std::string("t\0", 2) +
+        std::string(Manifest::kMaxBoundaryBytes - 2, '\xff');
+    const std::vector<std::string> boundaries = {std::string("g\0nul", 5),
+                                                 maxLen, nulAtMax};
+
+    // Writer and reader directly: every field, the intent included.
+    nvm::Pool pool(std::size_t{4} << 20, nvm::Mode::kDirect);
+    Manifest m;
+    m.seq = 7;
+    m.version = 3;
+    m.poolId = 2;
+    m.nextPoolId = 9;
+    m.members = {0, 5, 2, 8};
+    m.boundaries = boundaries;
+    m.intent = MigrationIntent{.version = 4,
+                               .src = 5,
+                               .dst = 2,
+                               .valueBytes = 32,
+                               .lo = nulAtMax,
+                               .hi = {}};
+    writeManifest(pool, m);
+    const std::optional<Manifest> back = readManifest(pool);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->seq, 7u);
+    EXPECT_EQ(back->version, 3u);
+    EXPECT_EQ(back->poolId, 2u);
+    EXPECT_EQ(back->nextPoolId, 9u);
+    EXPECT_EQ(back->members, m.members);
+    EXPECT_EQ(back->boundaries, boundaries);
+    ASSERT_TRUE(back->intent.has_value());
+    EXPECT_EQ(back->intent->version, 4u);
+    EXPECT_EQ(back->intent->src, 5u);
+    EXPECT_EQ(back->intent->dst, 2u);
+    EXPECT_EQ(back->intent->valueBytes, 32u);
+    EXPECT_EQ(back->intent->lo, nulAtMax);
+    EXPECT_EQ(back->intent->hi, "");
+
+    // Unpersistable manifests are refused before anything is written.
+    Manifest bad = m;
+    bad.boundaries[1].push_back('x');
+    EXPECT_THROW(writeManifest(pool, bad), std::invalid_argument);
+    bad = m;
+    bad.boundaries.pop_back();
+    EXPECT_THROW(writeManifest(pool, bad), std::invalid_argument);
+    EXPECT_EQ(readManifest(pool)->seq, 7u);
+
+    // And through a store's crash and recovery.
+    ShardedStore::Options o = rangeOptions(4, boundaries);
+    o.mode = nvm::Mode::kTracked;
+    auto st = std::make_unique<ShardedStore>(o);
+    st = std::make_unique<ShardedStore>(crashPools(st), kRecover,
+                                        smallConfig());
+    const auto &rp = static_cast<const RangePlacement &>(st->placement());
+    EXPECT_EQ(rp.boundaries(), boundaries);
+}
+
+TEST(StoreManifest, SlotWithoutMagicLosesToTheOther)
+{
+    nvm::Pool pool(std::size_t{4} << 20, nvm::Mode::kDirect);
+    Manifest m;
+    m.members = {0};
+    m.seq = 1;
+    writeManifest(pool, m); // slot 0
+    m.seq = 2;
+    writeManifest(pool, m); // slot 1: never the newest slot's
+    ASSERT_EQ(slotSeq(pool, 0), 1u);
+    ASSERT_EQ(slotSeq(pool, 1), 2u);
+    std::memset(slotBytes(pool, 1), 0, sizeof(std::uint64_t));
+    EXPECT_EQ(readManifest(pool)->seq, 1u)
+        << "a slot whose magic never landed must lose to the other";
+    m.seq = 3;
+    writeManifest(pool, m); // refills the slot without a magic word
+    EXPECT_EQ(slotSeq(pool, 1), 3u);
+    EXPECT_EQ(readManifest(pool)->seq, 3u);
+
+    // A store whose newest manifest lost its magic in every pool: the
+    // move's commit manifest ({new table, intent}) decides, and
+    // recovery finishes the move's bookkeeping from its intent.
+    ShardedStore::Options o = rangeOptions(2, {"m"});
+    o.mode = nvm::Mode::kTracked;
+    auto st = std::make_unique<ShardedStore>(o);
+    for (const char *k : {"a", "h", "k", "z"})
+        st->put(k, tag(static_cast<std::uint64_t>(k[0])));
+    ASSERT_TRUE(st->moveBoundary(0, 1, "h").completed);
+    auto pools = crashPools(st);
+    for (auto &pool : pools) {
+        const unsigned newest = slotSeq(*pool, 0) > slotSeq(*pool, 1) ? 0 : 1;
+        std::memset(slotBytes(*pool, newest), 0, sizeof(std::uint64_t));
+    }
+    st = std::make_unique<ShardedStore>(std::move(pools), kRecover,
+                                        smallConfig());
+    const auto &rp = static_cast<const RangePlacement &>(st->placement());
+    EXPECT_EQ(rp.boundaries(), std::vector<std::string>{"h"});
+    EXPECT_EQ(st->placementVersion(), 1u);
+    EXPECT_TRUE(st->lastRecoveryInfo().migrationPending);
+    EXPECT_TRUE(st->lastRecoveryInfo().migrationCommitted);
+    for (const char *k : {"a", "h", "k", "z"}) {
+        void *out = nullptr;
+        ASSERT_TRUE(st->get(k, out)) << k;
+        EXPECT_EQ(out, tag(static_cast<std::uint64_t>(k[0])));
+    }
+    for (unsigned s = 0; s < st->shardCount(); ++s)
+        EXPECT_FALSE(readManifest(st->shard(s).pool())->intent.has_value());
+}
+
+TEST(StoreManifest, ChecksumMismatchFailsRecoveryLoudly)
+{
+    for (const unsigned slot : {0u, 1u}) {
+        ShardedStore::Options o = rangeOptions(3, {"g", "t"});
+        o.mode = nvm::Mode::kTracked;
+        auto st = std::make_unique<ShardedStore>(o);
+        st->put("k", tag(1));
+        ASSERT_TRUE(st->moveBoundary(1, 2, "p").completed);
+        auto pools = crashPools(st);
+        // One flipped payload byte (the first boundary's first byte) in
+        // one slot of one pool, magic intact.
+        slotBytes(*pools[1], slot)[336 + 4] ^= 0x01;
+        EXPECT_THROW(ShardedStore(std::move(pools), kRecover, smallConfig()),
+                     std::runtime_error)
+            << "slot " << slot;
+    }
+}
+
+TEST(StoreManifest, SixteenShardStoreMergesAddsAndRecoversShuffled)
+{
+    // A 16-member range store is governed like any other: it merges,
+    // adds, and recovers its exact membership from shuffled pools.
+    constexpr unsigned kShards = 16;
+    std::vector<std::string> boundaries;
+    for (unsigned s = 1; s < kShards; ++s)
+        boundaries.push_back(mt::u64Key(100 * s));
+    ShardedStore::Options o = rangeOptions(kShards, boundaries);
+    o.mode = nvm::Mode::kTracked;
+    o.poolBytesPerShard = std::size_t{1} << 24;
+    auto st = std::make_unique<ShardedStore>(o);
+    std::map<std::string, void *> model;
+    for (std::uint64_t r = 0; r < 100 * kShards; r += 3) {
+        st->put(mt::u64Key(r), tag(r + 1));
+        model[mt::u64Key(r)] = tag(r + 1);
+    }
+
+    ASSERT_TRUE(st->mergeBoundary(5, 4).completed);
+    ASSERT_TRUE(st->addShard(9, mt::u64Key(1050)).completed);
+    ASSERT_EQ(st->shardCount(), kShards);
+    EXPECT_EQ(st->unroutedPoolIds(), std::vector<std::uint32_t>{5});
+    std::vector<std::uint32_t> ids;
+    for (unsigned s = 0; s < st->shardCount(); ++s)
+        ids.push_back(st->shardPoolId(s));
+    EXPECT_EQ(ids[4], 4u);
+    EXPECT_EQ(ids[10], kShards) << "the added member takes the next id";
+    const auto table =
+        static_cast<const RangePlacement &>(st->placement()).boundaries();
+
+    // Crash with the merged-out pool still unretired, and hand the pools
+    // back reversed.
+    auto pools = crashPools(st);
+    std::reverse(pools.begin(), pools.end());
+    st = std::make_unique<ShardedStore>(std::move(pools), kRecover,
+                                        smallConfig());
+    EXPECT_EQ(st->lastRecoveryInfo().orphanPools, 1u);
+    EXPECT_EQ(st->placementVersion(), 2u);
+    std::vector<std::uint32_t> recoveredIds;
+    for (unsigned s = 0; s < st->shardCount(); ++s)
+        recoveredIds.push_back(st->shardPoolId(s));
+    EXPECT_EQ(recoveredIds, ids);
+    EXPECT_EQ(static_cast<const RangePlacement &>(st->placement()).boundaries(),
+              table);
+    auto it = model.begin();
+    std::size_t n = 0;
+    st->scan({}, SIZE_MAX, [&](std::string_view k, void *v) {
+        ASSERT_NE(it, model.end());
+        EXPECT_EQ(std::string(k), it->first);
+        EXPECT_EQ(v, it->second);
+        ++it;
+        ++n;
+    });
+    EXPECT_EQ(n, model.size());
+
+    // Still elastic after recovery.
+    EXPECT_TRUE(st->mergeBoundary(10, 11).completed);
+    EXPECT_EQ(st->shardCount(), kShards - 1);
 }
 
 } // namespace

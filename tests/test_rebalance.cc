@@ -236,7 +236,7 @@ TEST(MoveBoundary, RejectsInvalidRequests)
                  std::invalid_argument); // empty split
     EXPECT_THROW(
         st.moveBoundary(
-            1, 2, std::string(PlacementRecord::kMaxBoundaryBytes + 1, 'x'),
+            1, 2, std::string(Manifest::kMaxBoundaryBytes + 1, 'x'),
             {}),
         std::invalid_argument); // not persistable
 
@@ -254,10 +254,10 @@ TEST(MoveBoundary, RejectsInvalidRequests)
 /**
  * The crash-injection matrix. Phase names follow the migration's
  * durable timeline:
- *   kBeforeCopy   intent records durable, zero keys copied
+ *   kBeforeCopy   intent manifest durable, zero keys copied
  *   kMidCopy      one chunk copied, the rest not
- *   kPreCommit    whole interval copied, commit record never written
- *   kPostCommit   commit record durable, source leftovers not GC'd
+ *   kPreCommit    whole interval copied, commit manifest never written
+ *   kPostCommit   commit manifest durable, source leftovers not GC'd
  * crossed with sync (inline advances) and async (EpochService racing
  * the copy with 1 ms boundaries, move advances routed through it).
  */
@@ -339,7 +339,7 @@ TEST_P(RebalanceCrashMatrix, RecoversToExactlyOldOrNewPlacement)
                                         recoverConfig());
 
     // Placement is byte-for-byte exactly the old or the new table —
-    // decided solely by whether the commit record became durable.
+    // decided solely by whether the commit manifest became durable.
     ASSERT_EQ(st->placement().kind(), PlacementKind::kRange);
     const auto &rp = static_cast<const RangePlacement &>(st->placement());
     EXPECT_EQ(rp.boundaries(), committed ? newB : oldB);
@@ -359,10 +359,10 @@ TEST_P(RebalanceCrashMatrix, RecoversToExactlyOldOrNewPlacement)
     expectScanMatchesModel(*st, model, "post-recovery");
     expectShardsContainOnlyOwnedRanges(*st);
 
-    // Intent records are cleared: a second crash-free recovery round
+    // The intent is cleared: a second crash-free recovery round
     // trips nothing.
     for (unsigned s = 0; s < st->shardCount(); ++s)
-        EXPECT_FALSE(readMigrationIntent(st->shard(s).pool()).has_value())
+        EXPECT_FALSE(readManifest(st->shard(s).pool())->intent.has_value())
             << "shard " << s;
 
     // The recovered store is fully operational: writes, a checkpoint,

@@ -171,7 +171,7 @@ TEST(TopologyMerge, LiveMergeWithWritesAtEveryPhase)
     ShardedStore st(o);
     Model model;
     preloadModel(st, model);
-    ASSERT_TRUE(st.topologyGoverned());
+    ASSERT_EQ(st.placement().kind(), PlacementKind::kRange);
 
     // Merge shard 1 LEFT into shard 0 (the surviving bound is dst's own
     // "" edge), with traffic at every phase: updates, a fresh insert and
@@ -335,7 +335,7 @@ TEST(TopologyValidation, RejectsInvalidRequests)
                  std::invalid_argument); // empty split
     EXPECT_THROW(
         st.addShard(1,
-                    std::string(PlacementRecord::kMaxBoundaryBytes + 1, 'x'),
+                    std::string(Manifest::kMaxBoundaryBytes + 1, 'x'),
                     {}),
         std::invalid_argument); // not persistable
     EXPECT_THROW(st.retireShard(0),
@@ -350,40 +350,38 @@ TEST(TopologyValidation, RejectsInvalidRequests)
     hash.config.logBuffers = 4;
     hash.config.logBufferBytes = 1u << 20;
     ShardedStore hashed(hash);
-    EXPECT_FALSE(hashed.topologyGoverned());
+    EXPECT_EQ(hashed.placement().kind(), PlacementKind::kHash);
     EXPECT_THROW(hashed.mergeBoundary(0, 1, {}), std::invalid_argument);
     EXPECT_THROW(hashed.addShard(0, "m", {}), std::invalid_argument);
 }
 
 TEST(TopologyValidation, MembershipCapIsEnforced)
 {
-    // A store at the durable record's member cap refuses to grow.
+    // A store at the manifest's member cap refuses to grow.
     ShardedStore::Options o;
-    o.shards = TopologyRecord::kMaxMembers;
+    o.shards = Manifest::kMaxMembers;
     o.mode = nvm::Mode::kDirect;
     o.poolBytesPerShard = std::size_t{1} << 24;
     o.config.logBuffers = 4;
     o.config.logBufferBytes = 1u << 20;
     o.config.placement = PlacementKind::kRange;
     ShardedStore full(o);
-    ASSERT_TRUE(full.topologyGoverned());
+    ASSERT_EQ(full.placement().kind(), PlacementKind::kRange);
     EXPECT_THROW(full.addShard(0, key(20), {}), std::invalid_argument);
 
-    // A store born beyond the cap is not governable at all.
-    o.shards = TopologyRecord::kMaxMembers + 1;
-    ShardedStore over(o);
-    EXPECT_FALSE(over.topologyGoverned());
-    EXPECT_THROW(over.mergeBoundary(0, 1, {}), std::invalid_argument);
+    // A range store beyond the cap cannot be built at all.
+    o.shards = Manifest::kMaxMembers + 1;
+    EXPECT_THROW(ShardedStore{o}, std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------
 // The crash-injection matrices. Phase names follow the durable
 // timeline shared by merge and add:
-//   kBeforeCopy   intents durable (and for add: the new pool's id
-//                 record), zero keys copied
+//   kBeforeCopy   intent manifest durable (for add: on the new pool
+//                 too, with its id), zero keys copied
 //   kMidCopy      one chunk copied, the rest not
-//   kPreCommit    whole interval copied, topology record never written
-//   kPostCommit   topology record durable, source leftovers not GC'd
+//   kPreCommit    whole interval copied, commit manifest never written
+//   kPostCommit   commit manifest durable, source leftovers not GC'd
 // crossed with sync (inline advances) and async (EpochService racing
 // the copy with 1 ms boundaries, advances routed through it).
 // ---------------------------------------------------------------------
@@ -522,7 +520,7 @@ TEST_P(MergeCrashMatrix, RecoversToExactlyOldOrNewTopology)
     expectShardsContainOnlyOwnedRanges(st);
     EXPECT_TRUE(st.unroutedPoolIds().empty());
     for (unsigned s = 0; s < st.shardCount(); ++s)
-        EXPECT_FALSE(readMigrationIntent(st.shard(s).pool()).has_value())
+        EXPECT_FALSE(readManifest(st.shard(s).pool())->intent.has_value())
             << "shard " << s;
 
     // Fully operational: writes, a checkpoint, and a full transition —
@@ -595,8 +593,9 @@ TEST_P(AddCrashMatrix, RecoversToExactlyOldOrNewTopology)
         EXPECT_EQ(rp.boundaries(), oldBoundaries());
         EXPECT_EQ(memberIds(st), (std::vector<std::uint32_t>{0, 1, 2, 3}));
         EXPECT_EQ(st.placementVersion(), 0u);
-        // The half-filled new pool never made the membership: it has an
-        // id record but no topology names it — discarded wholesale.
+        // The half-filled new pool never made the membership: its
+        // manifest carries its id but no table names it — discarded
+        // wholesale.
         EXPECT_EQ(st.lastRecoveryInfo().orphanPools, 1u);
         EXPECT_EQ(st.lastRecoveryInfo().sweptKeys, 0u)
             << "the torn add's copies die with the orphan pool";
@@ -607,7 +606,7 @@ TEST_P(AddCrashMatrix, RecoversToExactlyOldOrNewTopology)
     expectScanMatchesModel(st, rig.model, "post-recovery");
     expectShardsContainOnlyOwnedRanges(st);
     for (unsigned s = 0; s < st.shardCount(); ++s)
-        EXPECT_FALSE(readMigrationIntent(st.shard(s).pool()).has_value())
+        EXPECT_FALSE(readManifest(st.shard(s).pool())->intent.has_value())
             << "shard " << s;
 
     // Fully operational: re-run the identical add (torn) or merge the
