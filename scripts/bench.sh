@@ -58,7 +58,7 @@ if [[ "${1:-}" == "server" ]]; then
   srv_keys=50000
   "$builddir/incll_server" --port 0 --shards 4 --keys "$srv_keys" \
       --io-threads 1 --exec-threads 1 \
-      --async-epochs --adaptive-debt-mb 64 \
+      --adaptive-debt-mb 64 \
       --record-op-latency --slow-op-us 500 --stats-sample-ms 100 \
       > "$outdir/server.out" 2> "$outdir/server.err" &
   srv_pid=$!

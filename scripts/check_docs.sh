@@ -86,7 +86,7 @@ check_roster bench/bench_util.h \
   --adaptive-debt-mb --alloc-arenas --value-bytes
 check_roster src/server/main.cc \
   --port --shards --io-threads --exec-threads \
-  --async-epochs --allow-crash \
+  --allow-crash \
   --slow-op-us --stats-sample-ms --record-op-latency
 check_roster bench/loadgen.cc \
   --connections --pipeline --rate --multi --slo-us --baseline \

@@ -18,11 +18,14 @@
  */
 #pragma once
 
+#include <algorithm>
+#include <cassert>
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "masstree/config.h"
 #include "masstree/context.h"
@@ -270,7 +273,9 @@ class Tree
     /**
      * In-order scan: visit up to @p limit keys >= @p start, invoking
      * @p cb(fullKey, value). Returns the number of keys visited. The
-     * snapshot is per-leaf (read committed), as in Masstree.
+     * snapshot is per-leaf (read committed), as in Masstree. @p fullKey
+     * views a buffer the scan reuses, so it is valid only during its
+     * call.
      *
      * @p cb may return void (visit until the limit) or bool: returning
      * false stops the scan immediately, and the key it was invoked with
@@ -474,17 +479,59 @@ class Tree
             lr->updateTransient(newRoot);
     }
 
+    // ---- prefetch ----------------------------------------------------------
+
+    /**
+     * Prefetch every cache line of the @p bytes at @p p and no line past
+     * them (upstream Masstree's memory-level parallelism). A hint on a
+     * pointer read under a version snapshot: it never dereferences and
+     * never faults, so a stale or torn pointer costs at most a wasted
+     * line fetch.
+     */
+    static INCLL_INLINE void
+    prefetchLines(const void *p, std::size_t bytes)
+    {
+        const auto at = reinterpret_cast<std::uintptr_t>(p);
+        for (std::uintptr_t line = cacheLineBase(at); line < at + bytes;
+             line += kCacheLineSize)
+            __builtin_prefetch(reinterpret_cast<const void *>(line));
+    }
+
+    // A node reached through a child or root pointer is an Interior or
+    // a LeafT, and its type sits behind the very miss the prefetch
+    // hides. Prefetching sizeof(Interior) bytes covers exactly the lines
+    // of either: a transient leaf is the same size, and a durable leaf
+    // is line-aligned, so its 320 bytes span the same lines as any 296
+    // bytes from its start.
+    static_assert(Config::kDurable
+                      ? alignof(LeafT) == kCacheLineSize &&
+                            sizeof(LeafT) - kCacheLineSize <
+                                sizeof(Interior) &&
+                            sizeof(Interior) <= sizeof(LeafT)
+                      : sizeof(LeafT) == sizeof(Interior),
+                  "prefetchNode must cover exactly one node's lines");
+
+    static INCLL_INLINE void
+    prefetchNode(const NodeBase *n)
+    {
+        prefetchLines(n, sizeof(Interior));
+    }
+
     // ---- descent ---------------------------------------------------------
 
     /**
      * Find the border node for @p slice, optionally recording the
-     * interior chain in @p stack (returns depth via @p depthOut).
+     * interior chain in @p stack (returns depth via @p depthOut). Every
+     * node it is about to visit — the layer root, each child as soon as
+     * its pointer is read, each right-move target — is prefetched whole,
+     * so a level's lines arrive together rather than one miss at a time.
      */
     LeafT *
     findLeaf(LayerRoot *lr, std::uint64_t slice, Interior **stack,
              int *depthOut = nullptr)
     {
         NodeBase *n = lr->root.load(std::memory_order_acquire);
+        prefetchNode(n);
         int depth = 0;
         while (n != nullptr && !n->isBorder()) {
             auto *in = static_cast<Interior *>(n);
@@ -492,10 +539,12 @@ class Tree
             const std::uint32_t v = in->version().stable();
             Interior *nx = in->next();
             if (nx != nullptr && slice >= nx->lowkey()) {
+                prefetchNode(nx);
                 n = nx;
                 continue;
             }
             NodeBase *child = in->childFor(slice);
+            prefetchNode(child);
             if (in->version().hasChanged(v))
                 continue; // inconsistent snapshot; re-read this node
             if (stack != nullptr && depth < kMaxDepth)
@@ -956,30 +1005,44 @@ class Tree
             void *val;
             char *ksuf;
         };
-        std::vector<Snap> snap;
+        Snap snap[kWidth] = {};
         while (leaf != nullptr && emitted < limit && !stop) {
             maybeRecoverLeaf(leaf);
-            LeafT *nextLeaf;
+            LeafT *nextLeaf = nullptr;
+            int n = 0;
             while (true) {
-                snap.clear();
                 const std::uint32_t v = leaf->version().stable();
                 const Permuter p = leaf->permutation();
-                for (int r = 0; r < p.size(); ++r) {
+                n = p.size();
+                assert(n <= kWidth);
+                for (int r = 0; r < n; ++r) {
                     const int s = p.slotOfRank(r);
-                    snap.push_back(Snap{leaf->keyAt(s),
-                                        leaf->keylenAt(s),
-                                        leaf->valAt(s),
-                                        leaf->ksufAt(s)});
+                    snap[r] = Snap{leaf->keyAt(s), leaf->keylenAt(s),
+                                   leaf->valAt(s), leaf->ksufAt(s)};
                 }
                 nextLeaf = leaf->next();
                 if (!leaf->version().hasChanged(v))
                     break;
             }
-            for (const Snap &e : snap) {
+            // Entries strictly below the start bound sort first.
+            int first = 0;
+            while (first < n && snap[first].slice < startSlice)
+                ++first;
+            // Prefetch what this leaf will deliver: the value buffers (a
+            // sub-layer's root record for a layer entry) of at most
+            // limit - emitted entries, and the next leaf only when this
+            // one cannot fill the limit.
+            const std::size_t want = limit - emitted;
+            const auto avail = static_cast<std::size_t>(n - first);
+            for (std::size_t i = 0; i < std::min(want, avail); ++i)
+                __builtin_prefetch(snap[first + i].val);
+            if (avail < want && nextLeaf != nullptr)
+                prefetchLines(nextLeaf, sizeof(LeafT));
+
+            for (int i = first; i < n; ++i) {
+                const Snap &e = snap[i];
                 if (emitted >= limit || stop)
                     return;
-                if (e.slice < startSlice)
-                    continue; // strictly below the start bound
                 char sliceBytes[8];
                 sliceToBytes(e.slice, sliceBytes);
                 const std::size_t plen = prefix.size();
@@ -993,19 +1056,25 @@ class Tree
                     prefix.resize(plen);
                     continue;
                 }
-                std::string full = prefix;
+                // Build the full key in place; the callback's view of it
+                // lasts until the resize below.
                 if (e.kl == kLenHasSuffix) {
-                    full.append(sliceBytes, 8);
+                    prefix.append(sliceBytes, 8);
                     std::uint32_t len;
                     std::memcpy(&len, e.ksuf, 4);
-                    full.append(e.ksuf + 4, len);
+                    prefix.append(e.ksuf + 4, len);
                 } else {
-                    full.append(sliceBytes, e.kl);
+                    prefix.append(sliceBytes, e.kl);
                 }
+                const std::string_view key(prefix);
                 // Lower-bound filter against the start key.
-                if (std::string_view(full).substr(plen) < rest)
+                if (key.substr(plen) < rest) {
+                    prefix.resize(plen);
                     continue;
-                if (!scanInvoke(cb, std::string_view(full), e.val)) {
+                }
+                const bool more = scanInvoke(cb, key, e.val);
+                prefix.resize(plen);
+                if (!more) {
                     stop = true; // stopping key is not counted
                     return;
                 }

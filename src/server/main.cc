@@ -2,8 +2,9 @@
  * @file
  * incll_server: stand-alone networked front-end over a sharded INCLL
  * store. Builds the store (optionally preloaded with the YCSB key
- * universe and checkpointed), attaches the EpochService when asked,
- * then serves the binary protocol until SIGINT/SIGTERM.
+ * universe and checkpointed), attaches the EpochService that advances
+ * every shard's epoch — so an acked write becomes durable within about
+ * one interval — then serves the binary protocol until SIGINT/SIGTERM.
  *
  * Prints one `READY port=<port> shards=<n>` line to stdout once the
  * socket is listening, so scripts (scripts/bench.sh, CI's server-smoke
@@ -42,7 +43,6 @@ struct Args
     std::size_t valueBytes = incll::ycsb::kValueBytes;
     unsigned ioThreads = 2;
     unsigned execThreads = 2;
-    bool asyncEpochs = false;
     unsigned serviceThreads = 2;
     unsigned epochMs = 16;
     unsigned backpressureMb = 0;
@@ -59,7 +59,7 @@ parseArgs(int argc, char **argv)
     static constexpr const char *kUsage =
         "flags: --port N --shards N --placement hash|range "
         "--keys N --value-bytes N --io-threads N --exec-threads N "
-        "--async-epochs --service-threads N --epoch-ms N "
+        "--service-threads N --epoch-ms N "
         "--backpressure-mb N --adaptive-debt-mb N "
         "--allow-crash --slow-op-us N "
         "--stats-sample-ms N --record-op-latency\n";
@@ -92,8 +92,6 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--exec-threads") {
             a.execThreads = static_cast<unsigned>(
                 std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--async-epochs") {
-            a.asyncEpochs = true;
         } else if (arg == "--service-threads") {
             a.serviceThreads = static_cast<unsigned>(
                 std::strtoul(next(), nullptr, 10));
@@ -189,6 +187,9 @@ main(int argc, char **argv)
     svo.allowCrash = a.allowCrash;
     svo.slowOpThreshold = std::chrono::microseconds(a.slowOpUs);
 
+    // The EpochService is the only thing that advances an epoch after
+    // the preload's checkpoint: without it no acked write ever becomes
+    // durable.
     std::unique_ptr<service::EpochService> svc;
     server::Server *serverPtr = nullptr;
     service::EpochService::Options eso;
@@ -197,25 +198,21 @@ main(int argc, char **argv)
     eso.maxLogBytesPerEpoch = std::uint64_t{a.backpressureMb} << 20;
     eso.adaptiveDebtBytes = std::uint64_t{a.adaptiveDebtMb} << 20;
     eso.sampleInterval = std::chrono::milliseconds(a.statsSampleMs);
-    if (a.asyncEpochs) {
-        // The kCrash cycle replaces the store object: detach the
-        // service before the pools are crash-cycled, re-attach to the
-        // recovered store after.
-        svo.beforeCrash = [&svc] { svc.reset(); };
-        svo.afterRecover = [&svc, &serverPtr, eso] {
-            svc = std::make_unique<service::EpochService>(
-                serverPtr->store(), eso);
-            svc->start();
-        };
-    }
+    // The kCrash cycle replaces the store object: detach the service
+    // before the pools are crash-cycled, re-attach to the recovered
+    // store after.
+    svo.beforeCrash = [&svc] { svc.reset(); };
+    svo.afterRecover = [&svc, &serverPtr, eso] {
+        svc = std::make_unique<service::EpochService>(serverPtr->store(),
+                                                      eso);
+        svc->start();
+    };
 
     server::Server server(std::move(st), so.config, svo);
     serverPtr = &server;
     server.start();
-    if (a.asyncEpochs) {
-        svc = std::make_unique<service::EpochService>(server.store(), eso);
-        svc->start();
-    }
+    svc = std::make_unique<service::EpochService>(server.store(), eso);
+    svc->start();
 
     std::printf("READY port=%u shards=%u placement=%s keys=%llu\n",
                 server.port(), a.shards, a.placement.c_str(),

@@ -2,11 +2,13 @@
  * @file
  * Functional tests for the transient Masstree configurations (MT, MT+):
  * basic operations, splits at scale, ordering, string keys and trie
- * layers, scans, and a multithreaded smoke test.
+ * layers, scans, and multithreaded tests racing gets and bounded scans
+ * against splits.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <string>
 #include <thread>
@@ -295,6 +297,106 @@ TEST(MasstreeConcurrency, ReadersDuringWrites)
     reader.join();
     // Pre-existing even keys must never be missed.
     EXPECT_EQ(misses.load(), 0u);
+}
+
+/**
+ * Why a limit-10 scan from @p from over keys @p got is wrong, or empty
+ * when it is right: the even keys below @p total are always present and
+ * odd ones may be, so the result must be strictly ascending, start at
+ * or above @p from and skip no even key from there to its last key, and
+ * hold 10 keys unless it reached the last even key.
+ */
+std::string
+scanFault(std::uint64_t from, const std::vector<std::uint64_t> &got,
+          std::uint64_t total)
+{
+    if (got.empty())
+        return from >= total - 1 ? "" : "empty";
+    // An even key skipped at the front: the first key must be `from`,
+    // or from + 1 when `from` is odd and absent.
+    if (got.front() < from || got.front() - from > (from % 2))
+        return "first key " + std::to_string(got.front());
+    for (std::size_t i = 1; i < got.size(); ++i) {
+        const std::uint64_t a = got[i - 1], b = got[i];
+        if (b <= a)
+            return "not ascending at " + std::to_string(b);
+        // Only an absent odd key may fall between neighbours.
+        if (b - a > 2 || (b - a == 2 && a % 2 == 1))
+            return "even key skipped after " + std::to_string(a);
+    }
+    if (got.size() < 10 && got.back() < total - 2)
+        return "short scan ending at " + std::to_string(got.back());
+    return {};
+}
+
+TEST(MasstreeConcurrency, BoundedScansDuringSplits)
+{
+    // Limit-10 scans race a writer whose inserts split leaves and
+    // interiors under them, so a scan follows next pointers into
+    // siblings a split is still publishing. Half the starts are uniform;
+    // half trail the writer by under 8 keys, where the splits are.
+    constexpr std::uint64_t kKeys = 100000;
+    constexpr int kReaders = 2;
+    for (int round = 0; round < 3; ++round) {
+        MasstreeMTPlus t;
+        for (std::uint64_t i = 0; i < kKeys; i += 2)
+            t.put(u64Key(i), tag(i + 1));
+
+        std::atomic<std::uint64_t> frontier{0};
+        std::atomic<bool> stop{false};
+        std::atomic<int> readersUp{0};
+        std::vector<std::uint64_t> scans(kReaders, 0);
+        std::vector<std::string> faults(kReaders);
+        std::vector<std::thread> readers;
+        for (int r = 0; r < kReaders; ++r) {
+            readers.emplace_back([&, r] {
+                Rng rng(11 + 17 * round + r);
+                std::vector<std::uint64_t> got;
+                readersUp.fetch_add(1);
+                while (!stop.load(std::memory_order_relaxed)) {
+                    const std::uint64_t behind = rng.nextBounded(8);
+                    const std::uint64_t at =
+                        frontier.load(std::memory_order_relaxed);
+                    const std::uint64_t from =
+                        scans[r] % 2 == 0 ? rng.nextBounded(kKeys)
+                                          : at - std::min(at, behind);
+                    got.clear();
+                    bool valuesMatch = true;
+                    t.scan(u64Key(from), 10,
+                           [&](std::string_view k, void *v) {
+                               const std::uint64_t key = sliceAt(k, 0);
+                               valuesMatch &=
+                                   k.size() == 8 && v == tag(key + 1);
+                               got.push_back(key);
+                           });
+                    ++scans[r];
+                    const std::string why =
+                        valuesMatch ? scanFault(from, got, kKeys)
+                                    : "value mismatch";
+                    if (!why.empty()) {
+                        faults[r] =
+                            "scan from " + std::to_string(from) + ": " + why;
+                        return;
+                    }
+                }
+            });
+        }
+        while (readersUp.load() < kReaders)
+            std::this_thread::yield();
+        bool allInserted = true;
+        for (std::uint64_t i = 1; i < kKeys; i += 2) {
+            allInserted &= t.put(u64Key(i), tag(i + 1));
+            frontier.store(i, std::memory_order_relaxed);
+        }
+        stop.store(true);
+        for (auto &th : readers)
+            th.join();
+        EXPECT_TRUE(allInserted);
+        for (int r = 0; r < kReaders; ++r) {
+            EXPECT_EQ(faults[r], "") << "round " << round;
+            EXPECT_GT(scans[r], 0u);
+        }
+    }
 }
 
 } // namespace

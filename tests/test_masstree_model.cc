@@ -1,13 +1,16 @@
 /**
  * @file
  * Model-based property tests for the (transient) Masstree: random
- * operation streams checked after every step against std::map, swept
+ * operation streams checked after every step against std::map, with
+ * whole-tree and bounded scans audited against the map's order, swept
  * over seeds and key-shape regimes; plus directed edge-case keys.
  */
 #include <gtest/gtest.h>
 
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "masstree/durable_tree.h"
@@ -57,6 +60,7 @@ TEST_P(ModelCheck, MatchesStdMap)
     const auto [seed, shapeInt] = GetParam();
     const auto shape = static_cast<KeyShape>(shapeInt);
     Rng rng(seed);
+    Rng scanRng(seed + 1000);
     MasstreeMTPlus tree;
     std::map<std::string, void *> model;
     const std::uint64_t universe = 600;
@@ -106,6 +110,41 @@ TEST_P(ModelCheck, MatchesStdMap)
             ASSERT_TRUE(ok);
             ASSERT_EQ(n, model.size());
             ASSERT_EQ(it, model.end());
+
+            // Bounded audits: starts drawn like the op keys (present,
+            // absent and, under kSharedPrefixes, deep inside a trie
+            // layer), limits 1-20, each checked against the model's
+            // run from lower_bound(start). A third of the starts lose
+            // their last byte (a start inside a slice) and a third gain
+            // a NUL (the immediate successor of a drawn key, so a key of
+            // the start's own slice falls below it and is filtered). A
+            // separate stream keeps the op sequence independent of the
+            // audits.
+            for (int q = 0; q < 64; ++q) {
+                std::string start = makeKey(shape, scanRng, universe);
+                switch (scanRng.nextBounded(3)) {
+                  case 1:
+                    start.pop_back();
+                    break;
+                  case 2:
+                    start.push_back('\0');
+                    break;
+                }
+                const auto limit =
+                    static_cast<std::size_t>(1 + scanRng.nextBounded(20));
+                std::vector<std::pair<std::string, void *>> got;
+                const std::size_t visited = tree.scan(
+                    start, limit, [&got](std::string_view k, void *v) {
+                        got.emplace_back(k, v);
+                    });
+                std::vector<std::pair<std::string, void *>> want;
+                for (auto m = model.lower_bound(start);
+                     m != model.end() && want.size() < limit; ++m)
+                    want.emplace_back(m->first, m->second);
+                ASSERT_EQ(visited, got.size());
+                ASSERT_EQ(got, want)
+                    << "start " << start << " limit " << limit;
+            }
         }
     }
 }

@@ -109,8 +109,9 @@ expectScanMatchesModel(ShardedStore &st, const Model &model,
     std::size_t n = 0;
     std::string prev;
     st.scan({}, SIZE_MAX, [&](std::string_view k, void *v) {
-        if (n > 0)
+        if (n > 0) {
             EXPECT_LT(prev, std::string(k)) << where << ": duplicate/order";
+        }
         prev = std::string(k);
         ASSERT_NE(it, model.end()) << where << ": extra key in scan";
         EXPECT_EQ(std::string(k), it->first) << where;
@@ -137,9 +138,10 @@ expectShardsContainOnlyOwnedRanges(ShardedStore &st)
         const bool hasUpper = rp.upperBoundOf(s, upper);
         st.shard(s).tree().scan({}, SIZE_MAX, [&](std::string_view k, void *) {
             EXPECT_GE(std::string(k), lower) << "shard " << s;
-            if (hasUpper)
+            if (hasUpper) {
                 EXPECT_LT(std::string(k), std::string(upper))
                     << "shard " << s;
+            }
         });
     }
 }
@@ -348,12 +350,15 @@ TEST_P(RebalanceCrashMatrix, RecoversToExactlyOldOrNewPlacement)
     const RecoveryInfo &info = st->lastRecoveryInfo();
     EXPECT_TRUE(info.migrationPending);
     EXPECT_EQ(info.migrationCommitted, committed);
-    if (crashPoint == kBeforeCopy && !asyncEpochs)
+    if (crashPoint == kBeforeCopy && !asyncEpochs) {
         EXPECT_EQ(info.sweptKeys, 0u);
-    if (crashPoint == kPostCommit)
+    }
+    if (crashPoint == kPostCommit) {
         EXPECT_GT(info.sweptKeys, 0u) << "source leftovers must be swept";
-    if (crashPoint == kPreCommit)
+    }
+    if (crashPoint == kPreCommit) {
         EXPECT_GT(info.sweptKeys, 0u) << "destination copies must be swept";
+    }
 
     // Zero lost, zero duplicated keys; every tree holds only its range.
     expectScanMatchesModel(*st, model, "post-recovery");

@@ -17,18 +17,25 @@
  * stale table — the slow-op phases of batched ops, and the kStats
  * exposition scraped mid add/merge/retire (labeled shard series stay
  * unique, no dangling ids), and a seeded frame-mutation fuzz (hostile
- * bytes never kill the process or draw a malformed reply).
+ * bytes never kill the process or draw a malformed reply). Last, the
+ * shipped `incll_server` binary (INCLL_SERVER_BIN), spawned as its
+ * users start it: a PUT acked before a kCrash must read back after it,
+ * because the server always runs the EpochService.
  */
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstddef>
 #include <cstdlib>
 #include <cstring>
@@ -1547,6 +1554,175 @@ TEST(ServerProtocol, FrameMutationFuzz)
     EXPECT_EQ(r.payload, valueFor(7));
 
     ycsb::destroyWithValues(server.store());
+}
+
+/** A spawned incll_server that never outlives the test: stopped by the
+ *  destructor on every exit path, and by the kernel if the test dies. */
+class ServerProcess
+{
+  public:
+    explicit ServerProcess(std::vector<std::string> args)
+    {
+        // argv is built before fork: the child of a threaded process
+        // may only make async-signal-safe calls, and malloc is not one.
+        std::vector<char *> argv{const_cast<char *>(INCLL_SERVER_BIN)};
+        for (std::string &a : args)
+            argv.push_back(a.data());
+        argv.push_back(nullptr);
+        int out[2];
+        if (::pipe(out) != 0)
+            return;
+        pid_ = ::fork();
+        if (pid_ == 0) {
+            ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+            ::dup2(out[1], STDOUT_FILENO);
+            ::close(out[0]);
+            ::close(out[1]);
+            ::execv(INCLL_SERVER_BIN, argv.data());
+            ::_exit(127);
+        }
+        ::close(out[1]);
+        out_ = out[0];
+    }
+
+    ~ServerProcess()
+    {
+        stop();
+        if (out_ >= 0)
+            ::close(out_);
+    }
+
+    ServerProcess(const ServerProcess &) = delete;
+    ServerProcess &operator=(const ServerProcess &) = delete;
+
+    /** The port of the READY line, or 0 if none came in @p timeout. */
+    std::uint16_t
+    waitReady(std::chrono::seconds timeout)
+    {
+        std::string text;
+        const auto deadline = std::chrono::steady_clock::now() + timeout;
+        while (pid_ > 0 && std::chrono::steady_clock::now() < deadline) {
+            pollfd p{out_, POLLIN, 0};
+            if (::poll(&p, 1, 100) <= 0)
+                continue;
+            char buf[256];
+            const ssize_t n = ::read(out_, buf, sizeof(buf));
+            if (n <= 0)
+                return 0; // the server exited
+            text.append(buf, static_cast<std::size_t>(n));
+            const std::size_t at = text.find("READY port=");
+            if (at != std::string::npos &&
+                text.find('\n', at) != std::string::npos)
+                return static_cast<std::uint16_t>(
+                    std::strtoul(text.c_str() + at + 11, nullptr, 10));
+        }
+        return 0;
+    }
+
+    /** SIGTERM, then SIGKILL after 10 s. Returns the exit code, or -1
+     *  when the server had to be killed or never started. */
+    int
+    stop()
+    {
+        if (pid_ <= 0)
+            return -1;
+        ::kill(pid_, SIGTERM);
+        int status = 0;
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        pid_t r;
+        while ((r = ::waitpid(pid_, &status, WNOHANG)) == 0 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        if (r == 0) {
+            ::kill(pid_, SIGKILL);
+            ::waitpid(pid_, &status, 0);
+        }
+        pid_ = -1;
+        return r > 0 && WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    }
+
+  private:
+    pid_t pid_ = -1;
+    int out_ = -1;
+};
+
+/** Every `epoch_advances{shard="N"}` sample of a Prometheus scrape. */
+std::map<int, long long>
+advancesByShard(const std::string &prom)
+{
+    std::map<int, long long> out;
+    const std::string needle = "\nepoch_advances{shard=\"";
+    for (std::size_t at = prom.find(needle); at != std::string::npos;
+         at = prom.find(needle, at + 1)) {
+        char *end = nullptr;
+        const long shard =
+            std::strtol(prom.c_str() + at + needle.size(), &end, 10);
+        if (std::strncmp(end, "\"} ", 3) == 0)
+            out[static_cast<int>(shard)] = std::strtoll(end + 3, nullptr, 10);
+    }
+    return out;
+}
+
+/** One Prometheus kStats scrape. */
+std::string
+scrape(Client &c, std::uint64_t seq)
+{
+    c.sendReq(Op::kStats, {}, {}, seq, 0, kFlagStatsProm);
+    Resp r;
+    EXPECT_TRUE(c.recvResp(r));
+    return r.payload;
+}
+
+TEST(ServerMain, AckedPutSurvivesCrash)
+{
+    constexpr std::size_t kShards = 2;
+    ServerProcess proc({"--port", "0", "--shards", std::to_string(kShards),
+                        "--keys", "1000", "--allow-crash"});
+    const std::uint16_t port = proc.waitReady(std::chrono::seconds(60));
+    ASSERT_NE(port, 0) << "no READY line from " << INCLL_SERVER_BIN;
+    Client c(port);
+    std::uint64_t seq = 0;
+
+    // The server's default value size is the 32 bytes valueFor builds.
+    const std::string k = "acked-before-crash";
+    Resp r = c.roundTrip(Op::kPut, k, valueFor(42), ++seq);
+    ASSERT_EQ(r.status(), Status::kOk);
+    ASSERT_EQ(r.h.flags & kFlagInserted, kFlagInserted) << "key not fresh";
+    const std::map<int, long long> acked = advancesByShard(scrape(c, ++seq));
+
+    // Wait until every shard completed two more boundaries. A shard's
+    // boundaries run one at a time and count on completion, so the
+    // second began after the scrape above, itself after the ack: it
+    // checkpointed the PUT whichever shard holds the key. A shard whose
+    // epoch took no write skips its boundary, so fresh keys keep every
+    // shard's epochs written meanwhile.
+    bool twoMore = false;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    for (int tick = 0;
+         !twoMore && std::chrono::steady_clock::now() < deadline; ++tick) {
+        r = c.roundTrip(Op::kPut, "tick-" + std::to_string(tick),
+                        valueFor(tick), ++seq);
+        ASSERT_EQ(r.status(), Status::kOk);
+        const std::map<int, long long> now = advancesByShard(scrape(c, ++seq));
+        twoMore = now.size() == kShards;
+        for (const auto &[shard, n] : now) {
+            const auto was = acked.find(shard);
+            twoMore &= n >= (was == acked.end() ? 0 : was->second) + 2;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_TRUE(twoMore)
+        << "epoch_advances did not grow by two on every shard in 10 s";
+
+    r = c.roundTrip(Op::kCrash, {}, {}, ++seq);
+    ASSERT_EQ(r.status(), Status::kOk);
+    r = c.roundTrip(Op::kGet, k, {}, ++seq);
+    EXPECT_EQ(r.status(), Status::kOk);
+    EXPECT_EQ(r.payload, valueFor(42));
+
+    EXPECT_EQ(proc.stop(), 0);
 }
 
 } // namespace
