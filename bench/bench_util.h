@@ -35,6 +35,7 @@
 #include <memory>
 #include <string>
 
+#include "common/flags.h"
 #include "common/stats.h"
 #include "json_out.h"
 #include "service/epoch_service.h"
@@ -108,95 +109,61 @@ struct Params
             "--elastic --cold-ops N --merge-max-mb N "
             "--alloc-arenas N --value-bytes N --json PATH\n";
         Params p;
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            auto next = [&]() -> const char * {
-                return i + 1 < argc ? argv[++i] : "0";
-            };
-            if (arg == "--paper") {
+        FlagReader f(argc, argv, kUsage);
+        while (f.next()) {
+            if (f.is("--paper")) {
                 p.paperScale = true;
                 p.numKeys = 20000000;
                 p.opsPerThread = 1000000;
                 p.threads = 8;
                 p.epochInterval = std::chrono::milliseconds(64);
-            } else if (arg == "--keys") {
-                p.numKeys = std::strtoull(next(), nullptr, 10);
-            } else if (arg == "--ops") {
-                p.opsPerThread = std::strtoull(next(), nullptr, 10);
-            } else if (arg == "--threads") {
-                p.threads = static_cast<unsigned>(
-                    std::strtoul(next(), nullptr, 10));
-            } else if (arg == "--shards") {
-                p.shards = static_cast<unsigned>(
-                    std::strtoul(next(), nullptr, 10));
-                if (p.shards == 0)
-                    p.shards = 1;
-            } else if (arg == "--placement") {
-                p.placement = next();
-                // Fail fast on a typo rather than silently hash-routing.
-                store::placementKindFromString(p.placement);
-            } else if (arg == "--epoch-ms") {
-                p.epochInterval = std::chrono::milliseconds(
-                    std::strtoul(next(), nullptr, 10));
-                if (p.epochInterval.count() == 0)
-                    p.epochInterval = std::chrono::milliseconds(1);
-            } else if (arg == "--async-epochs") {
+            } else if (f.is("--keys")) {
+                p.numKeys = f.num<std::uint64_t>(1);
+            } else if (f.is("--ops")) {
+                p.opsPerThread = f.num<std::uint64_t>(1);
+            } else if (f.is("--threads")) {
+                p.threads = f.num<unsigned>(1);
+            } else if (f.is("--shards")) {
+                p.shards = f.num<unsigned>(1);
+            } else if (f.is("--placement")) {
+                p.placement = f.valueOf(store::placementKindFromString);
+            } else if (f.is("--epoch-ms")) {
+                p.epochInterval =
+                    std::chrono::milliseconds(f.num<unsigned>(1));
+            } else if (f.is("--async-epochs")) {
                 p.asyncEpochs = true;
-            } else if (arg == "--service-threads") {
-                p.serviceThreads = static_cast<unsigned>(
-                    std::strtoul(next(), nullptr, 10));
-                if (p.serviceThreads == 0)
-                    p.serviceThreads = 1;
-            } else if (arg == "--backpressure-mb") {
-                p.backpressureMb = static_cast<unsigned>(
-                    std::strtoul(next(), nullptr, 10));
-            } else if (arg == "--adaptive-debt-mb") {
-                p.adaptiveDebtMb = static_cast<unsigned>(
-                    std::strtoul(next(), nullptr, 10));
-            } else if (arg == "--batch") {
-                p.batch = static_cast<unsigned>(
-                    std::strtoul(next(), nullptr, 10));
-                if (p.batch == 0)
-                    p.batch = 1;
-            } else if (arg == "--rebalance") {
+            } else if (f.is("--service-threads")) {
+                p.serviceThreads = f.num<unsigned>(1);
+            } else if (f.is("--backpressure-mb")) {
+                p.backpressureMb = f.num<unsigned>();
+            } else if (f.is("--adaptive-debt-mb")) {
+                p.adaptiveDebtMb = f.num<unsigned>();
+            } else if (f.is("--batch")) {
+                p.batch = f.num<unsigned>(1);
+            } else if (f.is("--rebalance")) {
                 p.rebalance = true;
-            } else if (arg == "--rebalance-ms") {
-                p.rebalanceMs = static_cast<unsigned>(
-                    std::strtoul(next(), nullptr, 10));
-                if (p.rebalanceMs == 0)
-                    p.rebalanceMs = 1;
-            } else if (arg == "--rebalance-skew") {
-                p.rebalanceSkew = std::strtod(next(), nullptr);
-                if (p.rebalanceSkew < 1.0)
-                    p.rebalanceSkew = 1.0;
-            } else if (arg == "--hotspot-shift-ops") {
-                p.hotspotShiftOps = std::strtoull(next(), nullptr, 10);
-            } else if (arg == "--elastic") {
+            } else if (f.is("--rebalance-ms")) {
+                p.rebalanceMs = f.num<unsigned>(1);
+            } else if (f.is("--rebalance-skew")) {
+                p.rebalanceSkew = f.real(1.0, 1e9);
+            } else if (f.is("--hotspot-shift-ops")) {
+                p.hotspotShiftOps = f.num<std::uint64_t>();
+            } else if (f.is("--elastic")) {
                 p.elastic = true;
                 p.rebalance = true; // elasticity rides the Rebalancer
-            } else if (arg == "--cold-ops") {
-                p.coldOps = std::strtoull(next(), nullptr, 10);
-            } else if (arg == "--merge-max-mb") {
-                p.mergeMaxMb = static_cast<unsigned>(
-                    std::strtoul(next(), nullptr, 10));
-                if (p.mergeMaxMb == 0)
-                    p.mergeMaxMb = 1;
-            } else if (arg == "--alloc-arenas") {
-                p.allocArenas = static_cast<unsigned>(
-                    std::strtoul(next(), nullptr, 10));
-            } else if (arg == "--value-bytes") {
-                p.valueBytes = std::strtoull(next(), nullptr, 10);
-                if (p.valueBytes < 16)
-                    p.valueBytes = 16;
-            } else if (arg == "--json") {
-                p.jsonPath = next();
-            } else if (arg == "--help") {
-                std::fputs(kUsage, stdout);
-                std::exit(0);
+            } else if (f.is("--cold-ops")) {
+                p.coldOps = f.num<std::uint64_t>();
+            } else if (f.is("--merge-max-mb")) {
+                p.mergeMaxMb = f.num<unsigned>(1);
+            } else if (f.is("--alloc-arenas")) {
+                p.allocArenas = f.num<unsigned>(
+                    0, DurableAllocator::kMaxArenas); // 0 = auto
+            } else if (f.is("--value-bytes")) {
+                p.valueBytes = f.num<std::size_t>(16);
+            } else if (f.is("--json")) {
+                p.jsonPath = f.value();
             } else {
-                std::fprintf(stderr, "unknown flag %s\n%s", arg.c_str(),
-                             kUsage);
-                std::exit(2);
+                f.other();
             }
         }
         if (p.backpressureMb > 0 && (p.batch <= 1 || !p.asyncEpochs))

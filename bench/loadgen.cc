@@ -86,74 +86,46 @@ struct LgArgs
             "--shards N --placement hash|range --batch N "
             "--crash-drill --stats --json PATH\n";
         LgArgs a;
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            auto next = [&]() -> const char * {
-                return i + 1 < argc ? argv[++i] : "0";
-            };
-            if (arg == "--port") {
-                a.port = static_cast<std::uint16_t>(
-                    std::strtoul(next(), nullptr, 10));
-            } else if (arg == "--connections") {
-                a.connections = static_cast<unsigned>(
-                    std::strtoul(next(), nullptr, 10));
-                if (a.connections == 0)
-                    a.connections = 1;
-            } else if (arg == "--pipeline") {
-                a.pipeline = static_cast<unsigned>(
-                    std::strtoul(next(), nullptr, 10));
-                if (a.pipeline == 0)
-                    a.pipeline = 1;
-            } else if (arg == "--rate") {
-                a.rate = std::strtod(next(), nullptr);
-            } else if (arg == "--ops") {
-                a.opsPerConn = std::strtoull(next(), nullptr, 10);
-            } else if (arg == "--keys") {
-                a.keys = std::strtoull(next(), nullptr, 10);
-            } else if (arg == "--read-pct") {
-                a.readPct = static_cast<unsigned>(
-                    std::strtoul(next(), nullptr, 10));
-                if (a.readPct > 100)
-                    a.readPct = 100;
-            } else if (arg == "--multi") {
-                a.multi = static_cast<unsigned>(
-                    std::strtoul(next(), nullptr, 10));
-                if (a.multi == 0)
-                    a.multi = 1;
-            } else if (arg == "--value-bytes") {
-                a.valueBytes = std::strtoul(next(), nullptr, 10);
-            } else if (arg == "--slo-us") {
-                a.sloUs = std::strtoull(next(), nullptr, 10);
-            } else if (arg == "--seed") {
-                a.seed = std::strtoull(next(), nullptr, 10);
-            } else if (arg == "--baseline") {
+        FlagReader f(argc, argv, kUsage);
+        while (f.next()) {
+            if (f.is("--port")) {
+                a.port = f.num<std::uint16_t>(1);
+            } else if (f.is("--connections")) {
+                a.connections = f.num<unsigned>(1);
+            } else if (f.is("--pipeline")) {
+                a.pipeline = f.num<unsigned>(1);
+            } else if (f.is("--rate")) {
+                a.rate = f.real(0.0, 1e12); // 0 = closed loop
+            } else if (f.is("--ops")) {
+                a.opsPerConn = f.num<std::uint64_t>(1);
+            } else if (f.is("--keys")) {
+                a.keys = f.num<std::uint64_t>(1);
+            } else if (f.is("--read-pct")) {
+                a.readPct = f.num<unsigned>(0, 100);
+            } else if (f.is("--multi")) {
+                a.multi = f.num<unsigned>(1);
+            } else if (f.is("--value-bytes")) {
+                a.valueBytes = f.num<std::size_t>();
+            } else if (f.is("--slo-us")) {
+                a.sloUs = f.num<std::uint64_t>();
+            } else if (f.is("--seed")) {
+                a.seed = f.num<std::uint64_t>();
+            } else if (f.is("--baseline")) {
                 a.baseline = true;
-            } else if (arg == "--crash-drill") {
+            } else if (f.is("--crash-drill")) {
                 a.crashDrill = true;
-            } else if (arg == "--shards") {
-                a.shards = static_cast<unsigned>(
-                    std::strtoul(next(), nullptr, 10));
-                if (a.shards == 0)
-                    a.shards = 1;
-            } else if (arg == "--placement") {
-                a.placement = next();
-                store::placementKindFromString(a.placement);
-            } else if (arg == "--batch") {
-                a.batch = static_cast<unsigned>(
-                    std::strtoul(next(), nullptr, 10));
-                if (a.batch == 0)
-                    a.batch = 1;
-            } else if (arg == "--stats") {
+            } else if (f.is("--shards")) {
+                a.shards = f.num<unsigned>(1);
+            } else if (f.is("--placement")) {
+                a.placement = f.valueOf(store::placementKindFromString);
+            } else if (f.is("--batch")) {
+                a.batch = f.num<unsigned>(1);
+            } else if (f.is("--stats")) {
                 a.stats = true;
-            } else if (arg == "--json") {
-                a.jsonPath = next();
-            } else if (arg == "--help") {
-                std::fputs(kUsage, stdout);
-                std::exit(0);
+            } else if (f.is("--json")) {
+                a.jsonPath = f.value();
             } else {
-                std::fprintf(stderr, "unknown flag %s\n%s", arg.c_str(),
-                             kUsage);
-                std::exit(2);
+                f.other();
             }
         }
         return a;

@@ -22,12 +22,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/stats.h"
 #include "json_out.h"
 
@@ -91,27 +90,16 @@ main(int argc, char **argv)
     unsigned threads = 4;
     std::uint64_t opsPerThread = 2000000;
     std::string jsonPath;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : "0";
-        };
-        if (arg == "--threads") {
-            threads = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-            if (threads == 0)
-                threads = 1;
-        } else if (arg == "--ops") {
-            opsPerThread = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--json") {
-            jsonPath = next();
-        } else if (arg == "--help") {
-            std::fputs(kUsage, stdout);
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown flag %s\n%s", arg.c_str(), kUsage);
-            return 2;
-        }
+    FlagReader f(argc, argv, kUsage);
+    while (f.next()) {
+        if (f.is("--threads"))
+            threads = f.num<unsigned>(1);
+        else if (f.is("--ops"))
+            opsPerThread = f.num<std::uint64_t>(1);
+        else if (f.is("--json"))
+            jsonPath = f.value();
+        else
+            f.other();
     }
 
     bench::JsonReport report(jsonPath, "obs_overhead");

@@ -27,20 +27,6 @@ constexpr std::uint32_t kClassBytes[SizeClasses::kNumClasses] = {
     32, 48, 64, 96, 128, 192, 256, 320, 384, 512, 1024, 2048,
 };
 
-/** Global thread-slot ids; each allocator maps slots to arenas. */
-std::atomic<std::uint32_t> gNextThreadSlot{0};
-thread_local std::uint32_t tlThreadSlot = UINT32_MAX;
-
-std::uint32_t
-threadSlotOfThisThread()
-{
-    if (INCLL_UNLIKELY(tlThreadSlot == UINT32_MAX))
-        tlThreadSlot =
-            gNextThreadSlot.fetch_add(1, std::memory_order_relaxed) %
-            DurableAllocator::kMaxThreadSlots;
-    return tlThreadSlot;
-}
-
 /** Atomic load of a (possibly concurrently CASed) durable word. */
 INCLL_INLINE std::uint64_t
 loadW(const std::uint64_t &w,
@@ -107,37 +93,37 @@ SizeClasses::classOf(std::size_t bytes)
 }
 
 /**
- * RAII pin against the epoch-boundary drain fence. The counter is this
- * thread slot's own cache line, so concurrent pins do not contend; the
- * seq_cst increment-then-check against the closer's seq_cst flag store
- * guarantees either the closer sees the pin or the pin sees the closed
- * flag (store-load ordering, Dekker-style).
+ * RAII pin against the epoch-boundary drain fence: a PinSlots pin on
+ * this thread slot's own line, re-checked against the closed flag
+ * (see common/pin_slots.h). Either the closer sees the pin or the pin
+ * sees the closed flag.
  */
 class DurableAllocator::DrainPin
 {
   public:
     explicit DrainPin(DurableAllocator &a)
-        : slot_(a.drainPins_[threadSlotOfThisThread()].pins)
+        : pins_(*a.drainPins_), slot_(threadSlot())
     {
         Backoff backoff;
         for (;;) {
-            slot_.fetch_add(1, std::memory_order_seq_cst);
+            pins_.pin(slot_);
             if (INCLL_LIKELY(
                     !a.drainClosed_.load(std::memory_order_seq_cst)))
                 return;
-            slot_.fetch_sub(1, std::memory_order_release);
+            pins_.unpin(slot_);
             while (a.drainClosed_.load(std::memory_order_acquire))
                 backoff.pause();
         }
     }
 
-    ~DrainPin() { slot_.fetch_sub(1, std::memory_order_release); }
+    ~DrainPin() { pins_.unpin(slot_); }
 
     DrainPin(const DrainPin &) = delete;
     DrainPin &operator=(const DrainPin &) = delete;
 
   private:
-    std::atomic<std::uint64_t> &slot_;
+    PinSlots &pins_;
+    const unsigned slot_;
 };
 
 DurableAllocator::DurableAllocator(nvm::Pool &pool, EpochManager &epochs,
@@ -193,7 +179,7 @@ DurableAllocator::DurableAllocator(nvm::Pool &pool, EpochManager &epochs,
                             std::memory_order_relaxed);
     caches_ = std::make_unique<ThreadCache[]>(
         std::size_t{kMaxThreadSlots} * kNumSlots);
-    drainPins_ = std::make_unique<DrainSlot[]>(kMaxThreadSlots);
+    drainPins_ = std::make_unique<PinSlots>();
     for (auto &a : arenaOfSlot_)
         a.store(0xff, std::memory_order_relaxed);
 
@@ -282,7 +268,7 @@ slotPayloadOffset(std::uint32_t slot)
 std::uint32_t
 DurableAllocator::arenaOfThisThread()
 {
-    const std::uint32_t ts = threadSlotOfThisThread();
+    const std::uint32_t ts = threadSlot();
     std::uint8_t a = arenaOfSlot_[ts].load(std::memory_order_acquire);
     if (INCLL_UNLIKELY(a == 0xff)) {
         // Round-robin on first touch, so concurrent threads spread
@@ -474,7 +460,7 @@ class DurableAllocator::CacheLock
 std::size_t
 DurableAllocator::cacheTake(std::uint32_t slot, void **out, std::size_t n)
 {
-    ThreadCache &c = cacheOf(threadSlotOfThisThread(), slot);
+    ThreadCache &c = cacheOf(threadSlot(), slot);
     if (INCLL_UNLIKELY(c.busy.test_and_set(std::memory_order_acquire))) {
         // Another thread sharing this cache slot, or the boundary's
         // prepare hook, holds it; fall through to the shared list
@@ -507,7 +493,7 @@ DurableAllocator::cachePut(std::uint32_t arena, std::uint32_t slot,
     // Called under a drain pin. Surplus beyond capacity (possible only
     // when another thread refilled a shared cache slot first) spills
     // back to the shared free list in one push.
-    ThreadCache &c = cacheOf(threadSlotOfThisThread(), slot);
+    ThreadCache &c = cacheOf(threadSlot(), slot);
     std::size_t taken = 0;
     if (!c.busy.test_and_set(std::memory_order_acquire)) {
         while (c.count < kCacheTarget && taken < n)
@@ -699,7 +685,7 @@ DurableAllocator::freeLF(std::uint32_t slot, void *const *ps, std::size_t n)
     // boundary pushes it onto the pending list before its flush — it
     // becomes allocatable only at the boundary after that.
     const std::uint32_t arena = arenaOfThisThread();
-    ThreadCache &c = cacheOf(threadSlotOfThisThread(), slot);
+    ThreadCache &c = cacheOf(threadSlot(), slot);
     CacheLock lock(*this, c, /*fenceOpen=*/true);
     epochs_.noteWrite();
     for (std::size_t i = 0; i < n; ++i) {
@@ -748,10 +734,7 @@ void
 DurableAllocator::drainClose()
 {
     drainClosed_.store(true, std::memory_order_seq_cst);
-    Backoff backoff;
-    for (std::uint32_t s = 0; s < kMaxThreadSlots; ++s)
-        while (drainPins_[s].pins.load(std::memory_order_acquire) != 0)
-            backoff.pause();
+    drainPins_->waitIdle();
     // Push every staged free onto its arena's pending list while the
     // finishing epoch is open, so the flush makes each free of the
     // epoch durable. A free stages only under a cache flag it took

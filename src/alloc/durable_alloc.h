@@ -72,6 +72,7 @@
 #include <vector>
 
 #include "common/compiler.h"
+#include "common/pin_slots.h"
 #include "common/spinlock.h"
 
 namespace incll::nvm {
@@ -101,8 +102,8 @@ class DurableAllocator
     static constexpr std::uint32_t kMaxArenas = 16;
     /** Object header preceding every payload (paper §5.1: 16 bytes). */
     static constexpr std::size_t kHeaderSize = 16;
-    /** Thread-cache slots; threads hash onto them round-robin. */
-    static constexpr std::uint32_t kMaxThreadSlots = 64;
+    /** Thread-cache slots: the process-wide threadSlot() numbering. */
+    static constexpr std::uint32_t kMaxThreadSlots = kThreadSlots;
     /** Objects a per-thread cache holds after a refill (its capacity),
      *  and frees a thread slot stages per class before pushing them. */
     static constexpr std::uint32_t kCacheTarget = 32;
@@ -345,16 +346,10 @@ class DurableAllocator
     /** Transient per-thread-slot caches [threadSlot][slot]. A slot
      *  stages frees only once it is bound to an arena (arenaOfSlot_). */
     std::unique_ptr<ThreadCache[]> caches_;
-    /** One drain-fence pin counter per thread slot, padded so the hot
-     *  path increments a line nobody else writes. */
-    struct alignas(kCacheLineSize) DrainSlot
-    {
-        std::atomic<std::uint64_t> pins{0};
-    };
     /** Distributed drain fence: a boundary sets drainClosed_ and waits
-     *  for every slot's pin count to reach zero; mutators pin their own
-     *  slot (seq_cst on both sides orders the pin against the flag). */
-    std::unique_ptr<DrainSlot[]> drainPins_;
+     *  for every thread slot's pins to drain; mutators pin their own
+     *  slot's line and re-check the flag (common/pin_slots.h). */
+    std::unique_ptr<PinSlots> drainPins_;
     std::atomic<bool> drainClosed_{false};
     /** Round-robin first-touch arena assignment (per allocator). */
     std::atomic<std::uint32_t> nextArena_{0};

@@ -9,11 +9,11 @@
  * a quiescent structure, then releases it.
  *
  * The fast path must cost almost nothing per operation, so each thread
- * publishes its in-flight state in its own cache-line-padded slot: one
- * uncontended sequentially-consistent store on entry (the StoreLoad
- * ordering against the advancer's flag — the classic Dekker pattern) and
- * one release store on exit. The advancer raises its flag and scans the
- * slots until the structure is quiescent.
+ * publishes its in-flight state as a PinSlots pin on its own cache line
+ * (common/pin_slots.h): one uncontended sequentially-consistent RMW on
+ * entry (the StoreLoad ordering against the advancer's flag — the
+ * classic Dekker pattern) and one release RMW on exit. The advancer
+ * raises its flag and waits for the slots to go idle.
  *
  * Re-entrancy: each thread keeps a small thread-local list of the gates
  * it currently holds, with a per-gate entry depth. A nested enter() on a
@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "common/compiler.h"
+#include "common/pin_slots.h"
 #include "common/stats.h"
 
 namespace incll {
@@ -41,7 +42,7 @@ namespace incll {
 class EpochGate
 {
   public:
-    static constexpr unsigned kSlots = 64;
+    static constexpr unsigned kSlots = kThreadSlots;
 
     /**
      * Begin a structure operation; blocks only while an advance runs.
@@ -55,20 +56,18 @@ class EpochGate
             ++held->depth;
             return;
         }
-        auto &slot = slotOfThisThread();
+        const unsigned slot = threadSlot();
         while (true) {
-            // seq_cst RMW: the slot publication must be ordered before
-            // the advancing_ load (Dekker with lockExclusive()). Slots
-            // are counters so they stay correct if more than kSlots
-            // threads ever share one.
-            slot.fetch_add(1, std::memory_order_seq_cst);
+            // The pin is ordered before the advancing_ load (Dekker with
+            // lockExclusive(); see common/pin_slots.h).
+            slots_.pin(slot);
             if (INCLL_LIKELY(
                     !advancing_.load(std::memory_order_seq_cst)))
                 break;
             // An advance is pending: back out and wait. The stall is the
             // boundary cost a worker actually observes; count it so the
             // benches can report exposed vs hidden advance latency.
-            slot.fetch_sub(1, std::memory_order_release);
+            slots_.unpin(slot);
             const auto waitStart = std::chrono::steady_clock::now();
             Backoff backoff;
             while (advancing_.load(std::memory_order_acquire))
@@ -97,7 +96,7 @@ class EpochGate
         auto &list = heldList();
         *held = list.back();
         list.pop_back();
-        slotOfThisThread().fetch_sub(1, std::memory_order_release);
+        slots_.unpin(threadSlot());
     }
 
     /** True iff the calling thread is inside enter()/exit() on this gate. */
@@ -132,11 +131,7 @@ class EpochGate
             expected = false;
             acquireBackoff.pause();
         }
-        for (auto &padded : slots_) {
-            Backoff backoff;
-            while (padded.active.load(std::memory_order_acquire) != 0)
-                backoff.pause();
-        }
+        slots_.waitIdle();
     }
 
     /** Re-admit workers after an epoch advance. */
@@ -160,11 +155,6 @@ class EpochGate
     };
 
   private:
-    struct alignas(kCacheLineSize) PaddedSlot
-    {
-        std::atomic<std::uint32_t> active{0};
-    };
-
     /** One held gate of the calling thread. */
     struct HeldEntry
     {
@@ -194,16 +184,7 @@ class EpochGate
         return nullptr;
     }
 
-    std::atomic<std::uint32_t> &
-    slotOfThisThread()
-    {
-        static std::atomic<unsigned> nextSlot{0};
-        thread_local unsigned tlSlot =
-            nextSlot.fetch_add(1, std::memory_order_relaxed) % kSlots;
-        return slots_[tlSlot].active;
-    }
-
-    PaddedSlot slots_[kSlots];
+    PinSlots slots_;
     std::atomic<bool> advancing_{false};
 };
 

@@ -12,12 +12,11 @@
  */
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <semaphore>
 #include <string>
 
+#include "common/flags.h"
 #include "common/stats.h"
 #include "server/server.h"
 #include "service/epoch_service.h"
@@ -64,67 +63,40 @@ parseArgs(int argc, char **argv)
         "--allow-crash --slow-op-us N "
         "--stats-sample-ms N --record-op-latency\n";
     Args a;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : "0";
-        };
-        if (arg == "--port") {
-            a.port = static_cast<std::uint16_t>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--shards") {
-            a.shards = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-            if (a.shards == 0)
-                a.shards = 1;
-        } else if (arg == "--placement") {
-            a.placement = next();
-            incll::store::placementKindFromString(a.placement);
-        } else if (arg == "--keys") {
-            a.keys = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--value-bytes") {
-            a.valueBytes = std::strtoul(next(), nullptr, 10);
-            if (a.valueBytes == 0)
-                a.valueBytes = incll::ycsb::kValueBytes;
-        } else if (arg == "--io-threads") {
-            a.ioThreads = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--exec-threads") {
-            a.execThreads = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--service-threads") {
-            a.serviceThreads = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-            if (a.serviceThreads == 0)
-                a.serviceThreads = 1;
-        } else if (arg == "--epoch-ms") {
-            a.epochMs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-            if (a.epochMs == 0)
-                a.epochMs = 1;
-        } else if (arg == "--backpressure-mb") {
-            a.backpressureMb = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--adaptive-debt-mb") {
-            a.adaptiveDebtMb = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--allow-crash") {
+    incll::FlagReader f(argc, argv, kUsage);
+    while (f.next()) {
+        if (f.is("--port")) {
+            a.port = f.num<std::uint16_t>(); // 0 = ephemeral
+        } else if (f.is("--shards")) {
+            a.shards = f.num<unsigned>(1);
+        } else if (f.is("--placement")) {
+            a.placement = f.valueOf(incll::store::placementKindFromString);
+        } else if (f.is("--keys")) {
+            a.keys = f.num<std::uint64_t>(); // 0 = no preload
+        } else if (f.is("--value-bytes")) {
+            a.valueBytes = f.num<std::size_t>(1);
+        } else if (f.is("--io-threads")) {
+            a.ioThreads = f.num<unsigned>(1);
+        } else if (f.is("--exec-threads")) {
+            a.execThreads = f.num<unsigned>(1);
+        } else if (f.is("--service-threads")) {
+            a.serviceThreads = f.num<unsigned>(1);
+        } else if (f.is("--epoch-ms")) {
+            a.epochMs = f.num<unsigned>(1);
+        } else if (f.is("--backpressure-mb")) {
+            a.backpressureMb = f.num<unsigned>();
+        } else if (f.is("--adaptive-debt-mb")) {
+            a.adaptiveDebtMb = f.num<unsigned>();
+        } else if (f.is("--allow-crash")) {
             a.allowCrash = true;
-        } else if (arg == "--slow-op-us") {
-            a.slowOpUs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--stats-sample-ms") {
-            a.statsSampleMs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--record-op-latency") {
+        } else if (f.is("--slow-op-us")) {
+            a.slowOpUs = f.num<unsigned>();
+        } else if (f.is("--stats-sample-ms")) {
+            a.statsSampleMs = f.num<unsigned>();
+        } else if (f.is("--record-op-latency")) {
             a.recordOpLatency = true;
-        } else if (arg == "--help") {
-            std::fputs(kUsage, stdout);
-            std::exit(0);
         } else {
-            std::fprintf(stderr, "unknown flag %s\n%s", arg.c_str(),
-                         kUsage);
-            std::exit(2);
+            f.other();
         }
     }
     return a;

@@ -276,25 +276,21 @@ ShardedStore::publishWindow(Shard *src, Shard *dst,
 }
 
 std::uint64_t
-ShardedStore::drainRetiredPins(std::uint64_t version) const
+ShardedStore::drainRetiredPins(std::uint64_t version)
 {
     // Grace period of the RCU table epoch: every reader routing by a
-    // retired snapshot pinned it (TopoGuard), and such a reader may
-    // not have reached the shard its snapshot routes a moved key to —
-    // GC'ing (or destroying a shard) now would make present keys
-    // vanish from its view, or worse. Wait for every pin on every
-    // retired snapshot to release; new readers pin the current
+    // retired snapshot pinned topoPins_ before loading it (TopoGuard),
+    // and such a reader may not have reached the shard its snapshot
+    // routes a moved key to — GC'ing (or destroying a shard) now would
+    // make present keys vanish from its view, or worse. Wait for every
+    // pin taken before now; readers that pin later load the current
     // snapshot, which never depends on what the caller is about to
     // destroy. Readers never wait on the caller, so the drain cannot
-    // deadlock; it can only wait out real scans.
-    std::vector<const Topology *> retired;
-    {
-        std::lock_guard lk(placementMu_);
-        const Topology *cur = topology_.load(std::memory_order_acquire);
-        for (const auto &t : topologyHistory_)
-            if (t.get() != cur)
-                retired.push_back(t.get());
-    }
+    // deadlock; it can only wait out real scans. With no snapshot
+    // retired since the last drain, every pin routes by the current
+    // snapshot, and waiting would only stall behind live readers.
+    if (!undrainedRetire_)
+        return 0;
     // The wait is unbounded by design (GC under a live pin is a
     // use-after-free), but a wedged scan must be diagnosable, not a
     // silent hang: the elapsed wait lands in rebalance_grace_ns and a
@@ -304,29 +300,26 @@ ShardedStore::drainRetiredPins(std::uint64_t version) const
     auto nextWarn = g0 + kGraceWarnEvery;
     Backoff backoff;
     unsigned iter = 0;
-    for (std::size_t i = 0; i < retired.size();) {
-        if (retired[i]->pinCount() == 0) {
-            ++i;
-            continue;
-        }
+    topoPins_.synchronize([&] {
         backoff.pause();
         if ((++iter & 0x3FF) != 0)
-            continue; // amortize the clock read over the spin
+            return; // amortize the clock read over the spin
         const auto now = std::chrono::steady_clock::now();
         if (now < nextWarn)
-            continue;
+            return;
         std::fprintf(
             stderr,
             "incll: table-epoch grace wait: %llu pin(s) still hold a "
             "retired routing snapshot after %lld s (a parked scan is "
             "stalling transition v%llu)\n",
-            static_cast<unsigned long long>(retired[i]->pinCount()),
+            static_cast<unsigned long long>(topoPins_.draining()),
             static_cast<long long>(
                 std::chrono::duration_cast<std::chrono::seconds>(now - g0)
                     .count()),
             static_cast<unsigned long long>(version));
         nextWarn = now + kGraceWarnEvery;
-    }
+    });
+    undrainedRetire_ = false;
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - g0)

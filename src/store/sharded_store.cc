@@ -45,10 +45,11 @@ ShardedStore::adoptTopology(std::unique_ptr<Topology> next,
         std::lock_guard lk(placementMu_);
         topologyHistory_.push_back(std::move(next));
     }
-    // seq_cst: pairs with TopoGuard's pin-then-recheck (Dekker) — after
-    // this store, a reader either re-checks against the new pointer and
-    // retries, or its pin on the old snapshot is visible to the
-    // retiring transition's grace drain.
+    // Readers load the snapshot after pinning topoPins_; the grace
+    // drain's flip is ordered after this store, so a reader either
+    // loads the new pointer or holds a pin the drain waits for.
+    if (topology_.load(std::memory_order_relaxed) != nullptr)
+        undrainedRetire_ = true;
     topology_.store(raw, std::memory_order_seq_cst);
     if (version != 0)
         placementVersion_.store(version, std::memory_order_release);

@@ -39,12 +39,13 @@
  * runtime. Every routing decision goes through one atomically-published
  * *Topology snapshot* — the placement table, the ordered list of member
  * shards, and the pool-id allocator state, swapped as a unit. Readers
- * pin the snapshot they route by (an RCU-style table epoch): a commit
- * swaps in a new snapshot, and any destructive follow-up (source-side
- * GC of a move, destruction of a retired shard) first waits for every
- * pin on the retired snapshots to drain, so a long reader that loaded
- * the table just before a commit can never observe moved keys as
- * absent, nor touch a shard that no longer exists.
+ * pin before they load the snapshot they route by (an RCU-style table
+ * epoch, with per-thread-slot pins: common/pin_slots.h): a commit swaps
+ * in a new snapshot, and any destructive follow-up (source-side GC of a
+ * move, destruction of a retired shard) first waits for every pin
+ * taken before it to drain, so a long reader that loaded the table
+ * just before a commit can never observe moved keys as absent, nor
+ * touch a shard that no longer exists.
  *
  * Cross-shard transitions. The first three only build a plan (the
  * interval to copy, the next topology, whether the destination is a
@@ -83,6 +84,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/pin_slots.h"
 #include "common/stats.h"
 #include "store/hotness.h"
 #include "store/placement.h"
@@ -971,16 +973,15 @@ class ShardedStore
      * current snapshot is published through topology_; a commit swaps
      * the pointer and keeps every retired snapshot alive for the
      * store's lifetime, so an operation that loaded the pointer just
-     * before a swap finishes safely. Multi-step readers additionally
-     * pin the snapshot (the RCU table epoch): destructive follow-ups
-     * of a commit wait for retired snapshots' pins to drain.
+     * before a swap finishes safely. A snapshot carries no pin state:
+     * readers pin the store's topoPins_ (TopoGuard), whose memory is
+     * fixed however many snapshots retire.
      */
     struct Topology
     {
         const Placement *placement = nullptr; ///< owned by placementHistory_
         std::vector<Shard *> shards;          ///< owned by owned_
         std::uint32_t nextPoolId = 0;
-        mutable std::atomic<std::uint64_t> pins{0};
 
         unsigned
         count() const
@@ -1000,31 +1001,16 @@ class ShardedStore
                 return HashPlacement::route(key, shards.size());
             return placement->shardOf(key);
         }
-
-        // seq_cst on pin() and pinCount() pairs with the seq_cst
-        // snapshot swap (Dekker: pin-then-recheck vs swap-then-read-
-        // pins), so a reader that saw its snapshot still current is
-        // guaranteed visible to a commit's grace-period drain.
-        void pin() const { pins.fetch_add(1, std::memory_order_seq_cst); }
-        void unpin() const { pins.fetch_sub(1, std::memory_order_release); }
-
-        std::uint64_t
-        pinCount() const
-        {
-            return pins.load(std::memory_order_seq_cst);
-        }
     };
 
     /**
      * RAII pin of the current topology snapshot — the store-internal
-     * reader side of the RCU table epoch. Pin-then-recheck: load the
-     * pointer, pin the object, and re-validate the pointer is still
-     * current — a lost race with a committing swap unpins and retries,
-     * so a successful construction guarantees the snapshot's grace
-     * drain (which runs strictly after the swap) observes the pin and
-     * waits for it. Hash stores skip the pin entirely — their
-     * snapshot never changes, so the hot path stays free of
-     * shared-counter RMWs.
+     * reader side of the RCU table epoch. The pin goes on the calling
+     * thread's own line of topoPins_ (pin-then-recheck, see
+     * GracePins), and the snapshot is loaded after it: a reader that
+     * loads a snapshot a commit has since retired is waited for by
+     * that commit's grace drain (drainRetiredPins). Hash stores skip
+     * the pin entirely — their snapshot never changes.
      */
     class TopoGuard
     {
@@ -1034,11 +1020,7 @@ class ShardedStore
             acquire();
         }
 
-        ~TopoGuard()
-        {
-            if (store_.migrationPossible_)
-                topo_->unpin();
-        }
+        ~TopoGuard() { release(); }
 
         const Topology &topo() const { return *topo_; }
 
@@ -1047,8 +1029,7 @@ class ShardedStore
         void
         repin()
         {
-            if (store_.migrationPossible_)
-                topo_->unpin();
+            release();
             acquire();
         }
 
@@ -1059,22 +1040,21 @@ class ShardedStore
         void
         acquire()
         {
-            if (!store_.migrationPossible_) {
-                topo_ = store_.topology_.load(std::memory_order_acquire);
-                return;
-            }
-            for (;;) {
-                topo_ = store_.topology_.load(std::memory_order_seq_cst);
-                topo_->pin();
-                if (store_.topology_.load(std::memory_order_seq_cst) ==
-                    topo_)
-                    return;
-                topo_->unpin(); // swap raced in; pin the new snapshot
-            }
+            if (store_.migrationPossible_)
+                pin_ = store_.topoPins_.enter();
+            topo_ = store_.topology_.load(std::memory_order_acquire);
+        }
+
+        void
+        release()
+        {
+            if (store_.migrationPossible_)
+                store_.topoPins_.exit(pin_);
         }
 
         const ShardedStore &store_;
         const Topology *topo_ = nullptr;
+        GracePins::Pin pin_;
     };
 
     /**
@@ -1189,15 +1169,15 @@ class ShardedStore
     std::uint64_t sweepOutOfRangeKeys(const MigrationIntent &pending);
     MigrationWindow *publishWindow(Shard *src, Shard *dst,
                                    const MigrationIntent &intent);
-    std::uint64_t drainRetiredPins(std::uint64_t version) const;
+    std::uint64_t drainRetiredPins(std::uint64_t version);
     bool copyInterval(const MigrationIntent &intent, Shard &src, Shard &dst,
                       MigrationWindow &w, const MoveOptions &opts,
                       MoveResult &res);
 
     /**
      * RAII hold over a per-shard subset of the gates, releasable early
-     * shard-by-shard — the scan paths enter only the shards they visit
-     * and drop the ones the merge proves it will never deliver from.
+     * shard-by-shard — the merged scan enters every shard and drops the
+     * ones the merge proves it will never deliver from.
      */
     class GateHold
     {
@@ -1241,6 +1221,47 @@ class ShardedStore
     }
 
     /**
+     * RAII hold over the gates of one contiguous run of shards
+     * [first, end), extended to the right one shard at a time — all an
+     * ordered scan ever holds, so two indices replace GateHold's
+     * per-shard table and the scan allocates nothing.
+     */
+    class GateRun
+    {
+      public:
+        GateRun(const Topology &t, unsigned first)
+            : t_(t), first_(first), end_(first)
+        {
+        }
+
+        ~GateRun()
+        {
+            for (unsigned s = first_; s < end_; ++s)
+                gateOf(*t_.shards[s]).exit();
+        }
+
+        /** Enter the gate of the shard at end() and return it. */
+        Shard &
+        extend()
+        {
+            Shard &sh = *t_.shards[end_];
+            gateOf(sh).enter();
+            ++end_;
+            return sh;
+        }
+
+        unsigned end() const { return end_; }
+
+        GateRun(const GateRun &) = delete;
+        GateRun &operator=(const GateRun &) = delete;
+
+      private:
+        const Topology &t_;
+        const unsigned first_;
+        unsigned end_;
+    };
+
+    /**
      * Scan under an ordered placement: shard indices ascend with key
      * ranges, so walk shards left-to-right from the owner of @p start,
      * streaming callbacks straight out of each per-shard tree scan
@@ -1271,19 +1292,19 @@ class ShardedStore
                 std::size_t limit, F &cb)
     {
         const auto *pl = static_cast<const RangePlacement *>(t.placement);
-        GateHold gates(t.count());
+        GateRun gates(t, pl->shardOf(start));
         std::size_t n = 0;
-        for (unsigned s = pl->shardOf(start); s < t.count() && n < limit;
-             ++s) {
-            gates.enter(s, gateOf(*t.shards[s]));
+        while (gates.end() < t.count() && n < limit) {
+            const unsigned s = gates.end();
+            Shard &sh = gates.extend();
             globalStats().add(Stat::kScanShardsEntered);
             if (trackHotness_)
-                t.shards[s]->hotness().record(0);
+                sh.hotness().record(0);
             const std::string_view lower = pl->lowerBoundOf(s);
             std::string_view upper;
             const bool hasUpper = pl->upperBoundOf(s, upper);
             const std::string_view from = start < lower ? lower : start;
-            n += t.shards[s]->tree().scan(
+            n += sh.tree().scan(
                 from, limit - n, [&](std::string_view k, void *v) {
                     if (hasUpper && k >= upper)
                         return false; // next shard owns it: clip here
@@ -1429,10 +1450,10 @@ class ShardedStore
      *  holding a snapshot that references it stay valid). */
     Placement *adoptPlacement(std::unique_ptr<Placement> placement);
 
-    /** Publish @p next as the current snapshot (seq_cst swap, pairs
-     *  with TopoGuard's pin-then-recheck) and, when @p version is
+    /** Publish @p next as the current snapshot and, when @p version is
      *  non-zero, bump the placement version to it. Retired snapshots
-     *  are kept alive in topologyHistory_. */
+     *  are kept alive in topologyHistory_; the next drainRetiredPins
+     *  waits out their readers. */
     Topology *adoptTopology(std::unique_ptr<Topology> next,
                             std::uint64_t version);
 
@@ -1447,6 +1468,17 @@ class ShardedStore
      */
     std::atomic<Topology *> topology_{nullptr};
     std::vector<std::unique_ptr<Topology>> topologyHistory_;
+    /**
+     * The RCU table epoch's reader pins: two sets of per-thread-slot
+     * pins, each on its thread slot's own line (8 KiB per store,
+     * however many snapshots retire). Every grace drain flips between
+     * the sets; swaps and drains both run under moveMu_.
+     */
+    mutable GracePins topoPins_;
+    /** A snapshot retired since the last grace drain (under moveMu_):
+     *  with none, every pin routes by the current snapshot and a drain
+     *  has nothing to wait for. */
+    bool undrainedRetire_ = false;
     std::vector<std::unique_ptr<Placement>> placementHistory_;
     mutable std::mutex placementMu_; ///< guards the history vectors
     std::atomic<std::uint64_t> placementVersion_{0};

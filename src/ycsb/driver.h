@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -185,11 +186,14 @@ runOpsBatched(TreeLike &t, const Spec &spec, Rng &rng,
     }
 }
 
-/** Run @p spec against @p t and report aggregate throughput. */
+/** Run @p spec against @p t and report aggregate throughput. Throws
+ *  std::invalid_argument when @p spec has no threads. */
 template <typename TreeLike>
 Result
 run(TreeLike &t, const Spec &spec)
 {
+    if (spec.threads == 0)
+        throw std::invalid_argument("ycsb::run needs at least one thread");
     using Clock = std::chrono::steady_clock;
     Barrier barrier(spec.threads);
     std::vector<std::thread> workers;

@@ -12,13 +12,17 @@
  * protocols end-to-end with writes injected at every phase, retirement
  * (idempotence, crash-equivalence, refusal while routed), validation
  * errors including the membership cap, the routing-table-epoch
- * regression (a reader parked across each commit type), and the
- * elastic Rebalancer cost model.
+ * regression (a reader parked across each commit type, and more
+ * scanners than thread slots, some nesting a second pin, parked across
+ * one commit per pin set), and the elastic Rebalancer cost model.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -27,6 +31,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/pin_slots.h"
 #include "service/epoch_service.h"
 #include "service/rebalancer.h"
 #include "store/sharded_store.h"
@@ -838,6 +843,247 @@ TEST(TopologyTableEpoch, ReaderParkedAcrossRetirement)
     reader.release();
     reader.expectSawExactly(frozen, "scan across retirement");
     expectScanMatchesModel(st, model, "after retirement");
+    ycsb::destroyWithValues(st);
+}
+
+/**
+ * More scanners than thread slots, parked together: each runs a full
+ * scan that parks in its first callback (shard 0, which no transition
+ * below touches) until released, once per round. Odd scanners also
+ * run a store get from inside the callback, before parking and right
+ * after release, so their thread holds two table pins at once.
+ */
+class ParkedFleet
+{
+  public:
+    static constexpr unsigned kScanners = kThreadSlots + 16;
+    static constexpr std::uint64_t kNestedRank = 100; ///< held shard 0
+
+    explicit ParkedFleet(ShardedStore &st) : st_(st), scanners_(kScanners)
+    {
+        for (unsigned i = 0; i < kScanners; ++i)
+            threads_.emplace_back([this, i] { run(i); });
+    }
+
+    ~ParkedFleet()
+    {
+        {
+            std::lock_guard lk(mu_);
+            quit_ = true;
+        }
+        cv_.notify_all();
+        for (auto &t : threads_)
+            t.join();
+    }
+
+    /** Start a round's scans and wait until every one is parked. */
+    void
+    parkAll()
+    {
+        std::unique_lock lk(mu_);
+        ++round_;
+        parked_ = 0;
+        cv_.notify_all();
+        cv_.wait(lk, [this] { return parked_ == kScanners; });
+    }
+
+    /** Distinct thread slots the scanners pin from. */
+    std::size_t
+    distinctSlots()
+    {
+        std::lock_guard lk(mu_);
+        std::vector<bool> used(kThreadSlots, false);
+        for (const Scanner &s : scanners_)
+            used[s.slot] = true;
+        return static_cast<std::size_t>(
+            std::count(used.begin(), used.end(), true));
+    }
+
+    /** Release every parked scan whose thread slot is (or is not, with
+     *  @p onSlot false) @p slot, and wait for those scans to end. */
+    void
+    release(unsigned slot, bool onSlot)
+    {
+        std::unique_lock lk(mu_);
+        std::size_t want = finished_;
+        for (Scanner &s : scanners_)
+            if ((s.slot == slot) == onSlot && s.released < round_) {
+                s.released = round_;
+                ++want;
+            }
+        cv_.notify_all();
+        cv_.wait(lk, [&] { return finished_ == want; });
+    }
+
+    /** Every scanner's last round saw exactly @p frozen, and every
+     *  nested get found its key. */
+    void
+    expectSawExactly(const Model &frozen, const char *where)
+    {
+        std::lock_guard lk(mu_);
+        EXPECT_EQ(nestedMisses_, 0u) << where << ": nested get missed";
+        for (unsigned i = 0; i < kScanners; ++i) {
+            const auto &seen = scanners_[i].seen;
+            auto it = frozen.begin();
+            std::size_t n = 0;
+            for (; n < seen.size() && it != frozen.end(); ++n, ++it) {
+                ASSERT_EQ(seen[n].first, it->first)
+                    << where << ": scanner " << i << " slot "
+                    << scanners_[i].slot << " diverged";
+                ASSERT_EQ(seen[n].second, it->second) << where;
+            }
+            ASSERT_EQ(n, seen.size()) << where << ": scanner " << i
+                                      << " saw extra/duplicate keys";
+            ASSERT_EQ(it, frozen.end())
+                << where << ": scanner " << i << " slot "
+                << scanners_[i].slot << " lost keys";
+        }
+    }
+
+  private:
+    struct Scanner
+    {
+        unsigned slot = 0;
+        unsigned released = 0; ///< last round released
+        std::vector<std::pair<std::string, std::uint64_t>> seen;
+    };
+
+    void
+    nestedGet()
+    {
+        void *v = nullptr;
+        std::uint64_t payload = 0;
+        if (st_.get(key(kNestedRank), v))
+            std::memcpy(&payload, v, sizeof(payload));
+        if (payload != kNestedRank) {
+            std::lock_guard lk(mu_);
+            ++nestedMisses_;
+        }
+    }
+
+    void
+    run(unsigned i)
+    {
+        for (unsigned round = 1;; ++round) {
+            {
+                std::unique_lock lk(mu_);
+                cv_.wait(lk, [&] { return round_ >= round || quit_; });
+                if (round_ < round)
+                    return;
+            }
+            std::vector<std::pair<std::string, std::uint64_t>> seen;
+            bool first = true;
+            st_.scan({}, SIZE_MAX, [&](std::string_view k, void *v) {
+                if (first) {
+                    first = false;
+                    if (i % 2 == 1)
+                        nestedGet();
+                    std::unique_lock lk(mu_);
+                    scanners_[i].slot = threadSlot();
+                    ++parked_;
+                    cv_.notify_all();
+                    cv_.wait(lk, [&] {
+                        return scanners_[i].released >= round || quit_;
+                    });
+                    lk.unlock();
+                    if (i % 2 == 1)
+                        nestedGet();
+                }
+                std::uint64_t payload;
+                std::memcpy(&payload, v, sizeof(payload));
+                seen.emplace_back(std::string(k), payload);
+            });
+            std::lock_guard lk(mu_);
+            scanners_[i].seen = std::move(seen);
+            ++finished_;
+            cv_.notify_all();
+        }
+    }
+
+    ShardedStore &st_;
+    std::mutex mu_;
+    std::condition_variable cv_;
+    std::vector<Scanner> scanners_;
+    std::vector<std::thread> threads_;
+    unsigned round_ = 0;
+    std::size_t parked_ = 0;
+    std::size_t finished_ = 0;
+    std::size_t nestedMisses_ = 0;
+    bool quit_ = false;
+};
+
+/**
+ * Run @p commit on its own thread with @p fleet parked; once it reaches
+ * its GC, release every scan except those on thread slot @p lastSlot.
+ * The commit must then still be waiting — those scans pin the retired
+ * snapshot — until the last ones are released too.
+ */
+MoveResult
+commitUnderParkedFleet(ShardedStore &st, ParkedFleet &fleet,
+                       unsigned lastSlot,
+                       const std::function<MoveResult(MoveOptions)> &commit)
+{
+    std::atomic<bool> inGc{false};
+    MoveOptions mo;
+    mo.valueBytes = kValueBytes;
+    mo.phaseGate = [&](MovePhase p) {
+        if (p == MovePhase::kGc)
+            inGc.store(true);
+        return true;
+    };
+    MoveResult res;
+    std::thread mover([&] { res = commit(mo); });
+    while (!inGc.load())
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    fleet.release(lastSlot, /*onSlot=*/false);
+    for (int i = 0; i < 50 && st.migrationInProgress(); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    EXPECT_TRUE(st.migrationInProgress())
+        << "the commit finished while scans on thread slot " << lastSlot
+        << " still pinned the retired snapshot";
+    fleet.release(lastSlot, /*onSlot=*/true);
+    mover.join();
+    return res;
+}
+
+TEST(TopologyTableEpoch, SharedAndNestedPinsHoldBothPinSets)
+{
+    // The table epoch's pins are per thread slot, in two sets that each
+    // grace drain flips between. 80 scanners (more than the 64 slots,
+    // so 16 slots carry two threads' pins) park across a move commit
+    // and again across an add commit, so both sets are drained. Each
+    // commit's GC must wait for every slot — the scans on the slot
+    // released last included — and every scan must stream exactly the
+    // frozen key population.
+    ShardedStore::Options o = topologyOptions(54);
+    o.mode = nvm::Mode::kDirect;
+    ShardedStore st(o);
+    Model model;
+    preloadModel(st, model);
+    const Model frozen = model;
+    ParkedFleet fleet(st);
+
+    fleet.parkAll();
+    ASSERT_EQ(fleet.distinctSlots(), kThreadSlots)
+        << "every thread slot must hold a parked scan's pin";
+    MoveResult res = commitUnderParkedFleet(
+        st, fleet, kThreadSlots - 1, [&](MoveOptions mo) {
+            return st.moveBoundary(2, 3, key(1200), mo);
+        });
+    ASSERT_TRUE(res.completed);
+    EXPECT_GT(res.graceNs, 0u) << "move GC skipped the grace wait";
+    fleet.expectSawExactly(frozen, "scans across the move");
+    expectScanMatchesModel(st, model, "after move");
+
+    fleet.parkAll();
+    res = commitUnderParkedFleet(st, fleet, 0, [&](MoveOptions mo) {
+        return st.addShard(1, key(700), mo);
+    });
+    ASSERT_TRUE(res.completed);
+    EXPECT_GT(res.graceNs, 0u) << "add GC skipped the grace wait";
+    fleet.expectSawExactly(frozen, "scans across the add");
+    expectScanMatchesModel(st, model, "after add");
+    EXPECT_EQ(st.shardCount(), 5u);
     ycsb::destroyWithValues(st);
 }
 

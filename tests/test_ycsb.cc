@@ -88,6 +88,10 @@ TEST(Driver, RunPreservesKeyUniverse)
     EXPECT_EQ(res.totalOps, 20000u);
     EXPECT_GT(res.seconds, 0.0);
     EXPECT_EQ(t.tree().size(), 2048u);
+
+    // No threads is a caller error, not a run that times nothing.
+    spec.threads = 0;
+    EXPECT_THROW(run(t, spec), std::invalid_argument);
 }
 
 TEST(Driver, ScanMixVisitsRequestedLength)
