@@ -98,12 +98,12 @@ constexpr int kRuns = 5;
  *  allocator counters summed over the row's runs. */
 void
 reportRow(JsonReport &report, const Params &p, const std::string &mode,
-          unsigned batch, const std::vector<double> &mops,
-          const AllocCounters &d)
+          unsigned batch, std::vector<double> mops, const AllocCounters &d)
 {
-    const double median = percentile(mops, 50.0);
-    const double lo = percentile(mops, 0.0);
-    const double hi = percentile(mops, 100.0);
+    std::sort(mops.begin(), mops.end());
+    const double median = mops[mops.size() / 2];
+    const double lo = mops.front();
+    const double hi = mops.back();
     const double hitPct =
         d.allocs > 0 ? 100.0 * static_cast<double>(d.fastPathHits) /
                            static_cast<double>(d.allocs)
@@ -364,11 +364,12 @@ main(int argc, char **argv)
         s.advanceEpoch();
 
         const auto before = AllocCounters::snapshot();
-        s.startTimer(run.epochInterval);
+        service::EpochService svc(s, serviceOptionsFor(run));
+        svc.start();
         std::vector<double> mops;
         for (int i = 0; i < kRuns; ++i)
             mops.push_back(runChurn(s, run));
-        s.stopTimer();
+        svc.stop();
         reportRow(report, p, "lockfree", batch, mops,
                   AllocCounters::snapshot().since(before));
         // Values are p.valueBytes, not ycsb::kValueBytes, so the

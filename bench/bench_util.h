@@ -14,12 +14,13 @@
  * range partitioning (boundaries derived by sampling the preload key
  * universe), which keeps YCSB_E scans inside the shards whose ranges
  * they intersect instead of paying the N-way gather-merge.
- * --async-epochs replaces the per-shard timer threads with the
- * EpochService maintenance pool (--service-threads N, backpressure via
- * --backpressure-mb N); --batch N groups ops through the batched store
- * API. --rebalance attaches the service-layer Rebalancer (hotness
- * tracking on, skew detection every --rebalance-ms N ms at threshold
- * --rebalance-skew F) so a skewed range shard is split online;
+ * Every durable run is driven by the EpochService maintenance pool
+ * (--service-threads N threads advancing each shard every --epoch-ms N,
+ * backpressure via --backpressure-mb N); --batch N groups ops through
+ * the batched store API. --rebalance attaches the service-layer
+ * Rebalancer (hotness tracking on, skew detection every
+ * --rebalance-ms N ms at threshold --rebalance-skew F) so a skewed
+ * range shard is split online;
  * --hotspot-shift-ops N sets how often bench_rebalance's wandering
  * hotspot jumps to the next key segment. --elastic additionally lets
  * the Rebalancer change the member set itself (split a hot shard into
@@ -34,6 +35,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/flags.h"
 #include "common/stats.h"
@@ -54,8 +56,7 @@ struct Params
     /** Key-to-shard routing policy ("hash" or "range"). */
     std::string placement = "hash";
     bool paperScale = false;
-    /** Drive epoch advances through the EpochService pool. */
-    bool asyncEpochs = false;
+    /** EpochService threads driving every shard's boundaries. */
     unsigned serviceThreads = 2;
     /** Backpressure threshold in MiB of log debt per shard (0 = off). */
     unsigned backpressureMb = 0;
@@ -101,7 +102,7 @@ struct Params
         static constexpr const char *kUsage =
             "flags: --paper --keys N --ops N --threads N "
             "--shards N --placement hash|range "
-            "--epoch-ms N --async-epochs "
+            "--epoch-ms N "
             "--service-threads N --backpressure-mb N "
             "--adaptive-debt-mb N "
             "--batch N --rebalance --rebalance-ms N "
@@ -130,8 +131,6 @@ struct Params
             } else if (f.is("--epoch-ms")) {
                 p.epochInterval =
                     std::chrono::milliseconds(f.num<unsigned>(1));
-            } else if (f.is("--async-epochs")) {
-                p.asyncEpochs = true;
             } else if (f.is("--service-threads")) {
                 p.serviceThreads = f.num<unsigned>(1);
             } else if (f.is("--backpressure-mb")) {
@@ -166,11 +165,10 @@ struct Params
                 f.other();
             }
         }
-        if (p.backpressureMb > 0 && (p.batch <= 1 || !p.asyncEpochs))
+        if (p.backpressureMb > 0 && p.batch <= 1)
             std::fprintf(stderr,
                          "warning: --backpressure-mb only engages for "
-                         "batched writers under the epoch service; add "
-                         "--async-epochs and --batch N (> 1) for it to "
+                         "batched writers; add --batch N (> 1) for it to "
                          "take effect\n");
         return p;
     }
@@ -254,9 +252,47 @@ storeOptionsFor(const Params &p, bool inCllEnabled = true)
     return o;
 }
 
+/** The EpochService every durable bench run is driven by. */
+inline service::EpochService::Options
+serviceOptionsFor(const Params &p)
+{
+    service::EpochService::Options so;
+    so.threads = p.serviceThreads;
+    so.interval = p.epochInterval;
+    so.maxLogBytesPerEpoch = std::uint64_t{p.backpressureMb} << 20;
+    so.adaptiveDebtBytes = std::uint64_t{p.adaptiveDebtMb} << 20;
+    return so;
+}
+
+/** The Rebalancer of the --rebalance / --elastic flags. */
+inline service::Rebalancer::Options
+rebalancerOptionsFor(const Params &p)
+{
+    service::Rebalancer::Options ro;
+    ro.interval = std::chrono::milliseconds(p.rebalanceMs);
+    ro.skewFactor = p.rebalanceSkew;
+    ro.valueBytes = ycsb::kValueBytes;
+    ro.elastic = p.elastic;
+    ro.coldShardOps = p.coldOps;
+    ro.mergeMaxBytes = std::uint64_t{p.mergeMaxMb} << 20;
+    return ro;
+}
+
 /**
- * Build a durable store (p.shards INCLL shards) in fresh direct-mode
- * pools, preloaded and checkpointed.
+ * Range store over the ORDERED rank space, for the benches whose
+ * hotspots are key ranges (bench_rebalance, bench_elasticity):
+ * boundary i at rank numKeys*i/shards, preloaded unscrambled, hotness
+ * tracked.
+ */
+struct OrderedRange
+{
+    unsigned shards;
+};
+
+/**
+ * Build a durable store in fresh direct-mode pools, preloaded and
+ * checkpointed: p.shards INCLL shards placed by --placement, or an
+ * OrderedRange.
  */
 struct DurableSetup
 {
@@ -265,76 +301,67 @@ struct DurableSetup
     DurableSetup(const Params &p, bool inCllEnabled = true,
                  bool emulateWbinvd = true)
     {
-        store = std::make_unique<store::ShardedStore>(
-            storeOptionsFor(p, inCllEnabled));
-        if (emulateWbinvd)
-            store->forEachShard([&p](incll::store::Shard &s) {
-                s.pool().latency().wbinvdNs = p.wbinvdNs;
-            });
-        ycsb::preload(*store, p.numKeys);
-        store->advanceEpoch();
+        build(p, storeOptionsFor(p, inCllEnabled), emulateWbinvd,
+              /*scramble=*/true);
+    }
+
+    DurableSetup(const Params &p, OrderedRange r)
+    {
+        Params q = p;
+        q.shards = r.shards;
+        store::ShardedStore::Options o = storeOptionsFor(q);
+        o.config.placement = store::PlacementKind::kRange;
+        o.config.trackHotness = true;
+        o.config.rangeBoundaries.clear();
+        for (unsigned s = 1; s < r.shards; ++s)
+            o.config.rangeBoundaries.push_back(
+                mt::u64Key(p.numKeys * s / r.shards));
+        build(p, o, /*emulateWbinvd=*/true, /*scramble=*/false);
     }
 
     /**
-     * Run one workload with epoch advances active: per-shard timer
-     * threads ("sync" operating point — one dedicated timer per shard)
-     * or, with --async-epochs, the EpochService maintenance pool
-     * ("async" — p.serviceThreads threads drive all shards, with
-     * optional log-debt backpressure). With --rebalance a Rebalancer
-     * runs alongside (hotness tracking was enabled at store creation),
-     * splitting any range shard the workload skews onto; under hash
-     * placement it detects but never moves (the store cannot migrate).
+     * Run @p spec @p passes times back to back under one EpochService
+     * (serviceOptionsFor) and, when @p ro is given, one Rebalancer
+     * attached to it — splitting any range shard the workload skews
+     * onto; under hash placement it detects but never moves. Returns
+     * each pass's result.
      */
-    ycsb::Result
-    run(const Params &p, const ycsb::Spec &spec)
+    std::vector<ycsb::Result>
+    runPasses(const Params &p, const ycsb::Spec &spec, unsigned passes,
+              const service::Rebalancer::Options *ro)
     {
-        std::unique_ptr<service::EpochService> svc;
-        if (p.asyncEpochs) {
-            service::EpochService::Options so;
-            so.threads = p.serviceThreads;
-            so.interval = p.epochInterval;
-            so.maxLogBytesPerEpoch =
-                std::uint64_t{p.backpressureMb} << 20;
-            so.adaptiveDebtBytes = std::uint64_t{p.adaptiveDebtMb} << 20;
-            svc = std::make_unique<service::EpochService>(*store, so);
-            svc->start();
-        } else {
-            store->startTimer(p.epochInterval);
-        }
+        service::EpochService svc(*store, serviceOptionsFor(p));
         std::unique_ptr<service::Rebalancer> reb;
-        if (p.rebalance) {
-            service::Rebalancer::Options ro;
-            ro.interval = std::chrono::milliseconds(p.rebalanceMs);
-            ro.skewFactor = p.rebalanceSkew;
-            ro.valueBytes = ycsb::kValueBytes;
-            ro.elastic = p.elastic;
-            ro.coldShardOps = p.coldOps;
-            ro.mergeMaxBytes = std::uint64_t{p.mergeMaxMb} << 20;
-            reb = std::make_unique<service::Rebalancer>(*store, ro,
-                                                        svc.get());
+        if (ro != nullptr)
+            reb = std::make_unique<service::Rebalancer>(*store, *ro, &svc);
+        svc.start();
+        if (reb)
             reb->start();
-        }
-        auto res = ycsb::run(*store, spec);
-        if (reb) {
+        std::vector<ycsb::Result> res;
+        for (unsigned i = 0; i < passes; ++i)
+            res.push_back(ycsb::run(*store, spec));
+        if (reb)
             reb->stop();
-            lastRebalancerCounters = reb->counters();
-        } else {
-            lastRebalancerCounters = {};
-        }
-        if (svc) {
-            svc->stop();
-            lastServiceCounters = svc->totalCounters();
-        } else {
-            store->stopTimer();
-            lastServiceCounters = {};
-        }
+        svc.stop();
+        lastServiceCounters = svc.totalCounters();
+        lastRebalancerCounters = reb ? reb->counters()
+                                     : service::Rebalancer::Counters{};
         return res;
     }
 
-    /** Service counters of the last --async-epochs run() (else zeros). */
+    /** One pass of @p spec, with the flags' Rebalancer under
+     *  --rebalance (hotness tracking was enabled at store creation). */
+    ycsb::Result
+    run(const Params &p, const ycsb::Spec &spec)
+    {
+        const service::Rebalancer::Options ro = rebalancerOptionsFor(p);
+        return runPasses(p, spec, 1, p.rebalance ? &ro : nullptr).back();
+    }
+
+    /** Service counters of the last run. */
     service::EpochService::ShardCounters lastServiceCounters{};
 
-    /** Rebalancer counters of the last --rebalance run() (else zeros). */
+    /** Rebalancer counters of the last run (zeros without one). */
     service::Rebalancer::Counters lastRebalancerCounters{};
 
     /** Emulated sfence latency knob, applied to every shard pool. */
@@ -355,6 +382,20 @@ struct DurableSetup
             total += s.tree().log().bytesAppended();
         });
         return total;
+    }
+
+  private:
+    void
+    build(const Params &p, const store::ShardedStore::Options &o,
+          bool emulateWbinvd, bool scramble)
+    {
+        store = std::make_unique<store::ShardedStore>(o);
+        if (emulateWbinvd)
+            store->forEachShard([&p](incll::store::Shard &s) {
+                s.pool().latency().wbinvdNs = p.wbinvdNs;
+            });
+        ycsb::preload(*store, p.numKeys, scramble);
+        store->advanceEpoch();
     }
 };
 
@@ -413,6 +454,28 @@ class StatWindow
 
   private:
     std::uint64_t base_[kNumStats] = {};
+};
+
+/** Delta window over one global obs histogram, like StatWindow: the
+ *  samples recorded since construction. */
+class HistWindow
+{
+  public:
+    explicit HistWindow(obs::Hist h) : h_(h), base_(obs::hist(h).snapshot())
+    {
+    }
+
+    obs::HistSnapshot
+    since() const
+    {
+        obs::HistSnapshot s = obs::hist(h_).snapshot();
+        s.subtract(base_);
+        return s;
+    }
+
+  private:
+    obs::Hist h_;
+    obs::HistSnapshot base_;
 };
 
 } // namespace incll::bench

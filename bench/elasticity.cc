@@ -34,51 +34,16 @@
  * Usage: elasticity [--keys N --ops N --threads N --shards N]
  *                   [--rebalance-ms N --rebalance-skew F]
  *                   [--cold-ops N --merge-max-mb N]
- *                   [--hotspot-shift-ops N] [--async-epochs] [--json PATH]
+ *                   [--hotspot-shift-ops N] [--json PATH]
  * (--elastic and --rebalance are implied; this bench exists to measure
  * the elastic decisions.)
  */
 #include "bench_util.h"
 
-#include "service/rebalancer.h"
-
 using namespace incll;
 using namespace incll::bench;
 
 namespace {
-
-/** Range store over the ORDERED rank space: boundary i at rank
- *  numKeys*i/shards, preloaded unscrambled, hotness tracked. */
-struct OrderedRangeSetup
-{
-    std::unique_ptr<store::ShardedStore> store;
-
-    OrderedRangeSetup(const Params &p, unsigned shards)
-    {
-        store::ShardedStore::Options o;
-        o.shards = shards;
-        o.config.logBuffers = std::max(8u, p.threads);
-        o.config.logBufferBytes = 16u << 20;
-        o.config.placement = store::PlacementKind::kRange;
-        o.config.trackHotness = true;
-        for (unsigned s = 1; s < shards; ++s)
-            o.config.rangeBoundaries.push_back(
-                mt::u64Key(p.numKeys * s / shards));
-        o.poolBytesPerShard = poolBytesFor(p.numKeys, shards) +
-                              o.config.logBuffers * o.config.logBufferBytes;
-        store = std::make_unique<store::ShardedStore>(o);
-        store->forEachShard([&p](store::Shard &s) {
-            s.pool().latency().wbinvdNs = p.wbinvdNs;
-        });
-        ycsb::preload(*store, p.numKeys, /*scramble=*/false);
-        store->advanceEpoch();
-        // Preload writes count as hotness; start detection from zero so
-        // the cold shard looks cold on the first tick, not after the
-        // preload burst has decayed away.
-        for (unsigned s = 0; s < store->shardCount(); ++s)
-            store->hotness(s).reset();
-    }
-};
 
 struct ElasticResult
 {
@@ -86,7 +51,7 @@ struct ElasticResult
     double steadyMops = 0.0;
     unsigned finalShards = 0;
     service::Rebalancer::Counters counters;
-    std::vector<double> pausesNs;
+    obs::HistSnapshot pauses; ///< migration_pause_ns over the phase
 };
 
 /** Two passes of @p spec with an elastic Rebalancer attached; the
@@ -95,36 +60,23 @@ ElasticResult
 runElastic(const Params &p, double skewFactor, const ycsb::Spec &spec)
 {
     ElasticResult out;
-    OrderedRangeSetup setup(p, p.shards);
-    service::EpochService::Options so;
-    so.threads = p.serviceThreads;
-    so.interval = p.epochInterval;
-    service::EpochService svc(*setup.store, so);
-    service::Rebalancer::Options ro;
-    ro.interval = std::chrono::milliseconds(p.rebalanceMs);
+    DurableSetup setup(p, OrderedRange{p.shards});
+    // Preload writes count as hotness; start detection from zero so
+    // the cold shard looks cold on the first tick, not after the
+    // preload burst has decayed away.
+    for (unsigned s = 0; s < setup.store->shardCount(); ++s)
+        setup.store->hotness(s).reset();
+    service::Rebalancer::Options ro = rebalancerOptionsFor(p);
     ro.skewFactor = skewFactor;
-    ro.valueBytes = ycsb::kValueBytes;
     ro.elastic = true;
-    ro.coldShardOps = p.coldOps;
-    ro.mergeMaxBytes = std::uint64_t{p.mergeMaxMb} << 20;
     ro.maxShards = p.shards * 2; // bound hot_add growth
-    service::Rebalancer reb(*setup.store, ro,
-                            p.asyncEpochs ? &svc : nullptr);
-    if (p.asyncEpochs)
-        svc.start();
-    else
-        setup.store->startTimer(p.epochInterval);
-    reb.start();
-    out.warmupMops = ycsb::run(*setup.store, spec).mops();
-    out.steadyMops = ycsb::run(*setup.store, spec).mops();
-    reb.stop();
-    if (p.asyncEpochs)
-        svc.stop();
-    else
-        setup.store->stopTimer();
+    const HistWindow pauses(obs::Hist::kMigrationPauseNs);
+    const auto res = setup.runPasses(p, spec, 2, &ro);
+    out.warmupMops = res[0].mops();
+    out.steadyMops = res[1].mops();
     out.finalShards = setup.store->shardCount();
-    out.counters = reb.counters();
-    out.pausesNs = reb.pauseSamplesNs();
+    out.counters = setup.lastRebalancerCounters;
+    out.pauses = pauses.since();
     ycsb::destroyWithValues(*setup.store);
     return out;
 }
@@ -141,9 +93,9 @@ printElastic(const char *name, const ElasticResult &r, unsigned startShards)
                 static_cast<unsigned long long>(r.counters.adds),
                 static_cast<unsigned long long>(r.counters.retires),
                 static_cast<unsigned long long>(r.counters.keysMoved),
-                percentile(r.pausesNs, 50) / 1e6,
-                percentile(r.pausesNs, 95) / 1e6,
-                percentile(r.pausesNs, 99) / 1e6);
+                r.pauses.percentile(50) / 1e6,
+                r.pauses.percentile(95) / 1e6,
+                r.pauses.percentile(99) / 1e6);
 }
 
 void
@@ -162,9 +114,9 @@ elasticRow(JsonReport &report, const Params &p, const char *phase,
         .field("topology_adds", r.counters.adds)
         .field("topology_retires", r.counters.retires)
         .field("rebalance_keys_moved", r.counters.keysMoved)
-        .field("pause_ms_p50", percentile(r.pausesNs, 50) / 1e6)
-        .field("pause_ms_p95", percentile(r.pausesNs, 95) / 1e6)
-        .field("pause_ms_p99", percentile(r.pausesNs, 99) / 1e6);
+        .field("pause_ms_p50", r.pauses.percentile(50) / 1e6)
+        .field("pause_ms_p95", r.pauses.percentile(95) / 1e6)
+        .field("pause_ms_p99", r.pauses.percentile(99) / 1e6);
 }
 
 } // namespace
@@ -193,10 +145,8 @@ main(int argc, char **argv)
     uniform.scrambleKeys = false;
     double uniformMops;
     {
-        OrderedRangeSetup setup(p, p.shards);
-        setup.store->startTimer(p.epochInterval);
-        uniformMops = ycsb::run(*setup.store, uniform).mops();
-        setup.store->stopTimer();
+        DurableSetup setup(p, OrderedRange{p.shards});
+        uniformMops = setup.runPasses(p, uniform, 1, nullptr)[0].mops();
         ycsb::destroyWithValues(*setup.store);
     }
     std::printf("%-24s %8.3f Mops/s\n", "uniform (baseline)", uniformMops);

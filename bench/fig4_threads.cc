@@ -8,14 +8,12 @@
  * On top of the paper's figure, every INCLL run reports its
  * epoch-boundary cost: boundaries completed, time under the exclusive
  * gate (boundary work), and time workers stalled at gates behind
- * advances (boundary cost *exposed* to the request path). Running the
- * bench twice — default (per-shard timers, the sync operating point)
- * and with --async-epochs (EpochService pool) — gives the sync vs
- * async boundary-cost comparison; scripts/bench.sh records both into
- * BENCH_*.json.
+ * advances (boundary cost *exposed* to the request path). The
+ * EpochService drives the boundaries (--service-threads N);
+ * scripts/bench.sh records these rows into BENCH_*.json.
  *
  * Usage: fig4_threads [--paper|--keys N --ops N --threads MAXT]
- *                     [--shards N --async-epochs --batch N --json PATH]
+ *                     [--shards N --batch N --json PATH]
  */
 #include <vector>
 
@@ -36,11 +34,10 @@ main(int argc, char **argv)
     if (sweep.back() != maxThreads)
         sweep.push_back(maxThreads);
 
-    const char *epochMode = p.asyncEpochs ? "async" : "sync";
     std::printf("# Figure 4: YCSB_A throughput vs threads, keys=%llu "
-                "shards=%u placement=%s epochs=%s batch=%u\n",
+                "shards=%u placement=%s service_threads=%u batch=%u\n",
                 static_cast<unsigned long long>(p.numKeys), p.shards,
-                p.placement.c_str(), epochMode, p.batch);
+                p.placement.c_str(), p.serviceThreads, p.batch);
     std::printf("%-8s %-8s %10s %10s %10s %9s %12s %12s\n", "threads",
                 "dist", "MT+", "INCLL", "overhead", "advances",
                 "boundary_ms", "gatewait_ms");
@@ -78,7 +75,6 @@ main(int argc, char **argv)
                 .field("shards", run.shards)
                 .field("placement", run.placement)
                 .field("keys", run.numKeys)
-                .field("epoch_mode", epochMode)
                 .field("batch", run.batch)
                 .field("mtplus_mops", plusRes.mops())
                 .field("incll_mops", incllRes.mops())

@@ -20,49 +20,19 @@
  * Reported: Mops/s per phase, recovered fraction (steady-state hotspot
  * with rebalance / uniform baseline — the acceptance metric), completed
  * migrations + keys moved, and the migration commit-pause percentiles
- * (p50/p95/p99 via common/stats percentile()).
+ * (p50/p95/p99 of the migration_pause_ns histogram over the phase).
  *
  * Usage: rebalance [--keys N --ops N --threads N --shards N]
  *                  [--rebalance-ms N --rebalance-skew F]
- *                  [--hotspot-shift-ops N] [--async-epochs] [--json PATH]
+ *                  [--hotspot-shift-ops N] [--json PATH]
  * (--rebalance is implied for phase 3; phases 1-2 never rebalance.)
  */
 #include "bench_util.h"
-
-#include "service/rebalancer.h"
 
 using namespace incll;
 using namespace incll::bench;
 
 namespace {
-
-/** Range store over the ORDERED rank space: boundary i at rank
- *  numKeys*i/shards, preloaded unscrambled, hotness tracked. */
-struct OrderedRangeSetup
-{
-    std::unique_ptr<store::ShardedStore> store;
-
-    OrderedRangeSetup(const Params &p, unsigned shards)
-    {
-        store::ShardedStore::Options o;
-        o.shards = shards;
-        o.config.logBuffers = std::max(8u, p.threads);
-        o.config.logBufferBytes = 16u << 20;
-        o.config.placement = store::PlacementKind::kRange;
-        o.config.trackHotness = true;
-        for (unsigned s = 1; s < shards; ++s)
-            o.config.rangeBoundaries.push_back(
-                mt::u64Key(p.numKeys * s / shards));
-        o.poolBytesPerShard = poolBytesFor(p.numKeys, shards) +
-                              o.config.logBuffers * o.config.logBufferBytes;
-        store = std::make_unique<store::ShardedStore>(o);
-        store->forEachShard([&p](store::Shard &s) {
-            s.pool().latency().wbinvdNs = p.wbinvdNs;
-        });
-        ycsb::preload(*store, p.numKeys, /*scramble=*/false);
-        store->advanceEpoch();
-    }
-};
 
 ycsb::Spec
 hotspotSpec(const Params &p)
@@ -96,10 +66,8 @@ main(int argc, char **argv)
     uniform.scrambleKeys = false;
     double uniformMops;
     {
-        OrderedRangeSetup setup(p, shards);
-        setup.store->startTimer(p.epochInterval);
-        uniformMops = ycsb::run(*setup.store, uniform).mops();
-        setup.store->stopTimer();
+        DurableSetup setup(p, OrderedRange{shards});
+        uniformMops = setup.runPasses(p, uniform, 1, nullptr)[0].mops();
         ycsb::destroyWithValues(*setup.store);
     }
     std::printf("%-24s %8.3f Mops/s\n", "uniform (baseline)", uniformMops);
@@ -108,10 +76,8 @@ main(int argc, char **argv)
     const ycsb::Spec hotspot = hotspotSpec(p);
     double hotspotMops;
     {
-        OrderedRangeSetup setup(p, shards);
-        setup.store->startTimer(p.epochInterval);
-        hotspotMops = ycsb::run(*setup.store, hotspot).mops();
-        setup.store->stopTimer();
+        DurableSetup setup(p, OrderedRange{shards});
+        hotspotMops = setup.runPasses(p, hotspot, 1, nullptr)[0].mops();
         ycsb::destroyWithValues(*setup.store);
     }
     std::printf("%-24s %8.3f Mops/s\n", "hotspot (no rebalance)",
@@ -120,40 +86,24 @@ main(int argc, char **argv)
     // -- phase 3: shifting hotspot + Rebalancer ------------------------
     double warmupMops, steadyMops;
     service::Rebalancer::Counters rc;
-    std::vector<double> pausesNs;
+    obs::HistSnapshot pauses;
     {
-        OrderedRangeSetup setup(p, shards);
-        service::EpochService::Options so;
-        so.threads = p.serviceThreads;
-        so.interval = p.epochInterval;
-        service::EpochService svc(*setup.store, so);
-        service::Rebalancer::Options ro;
-        ro.interval = std::chrono::milliseconds(p.rebalanceMs);
-        ro.skewFactor = p.rebalanceSkew;
-        ro.valueBytes = ycsb::kValueBytes;
-        service::Rebalancer reb(*setup.store, ro,
-                                p.asyncEpochs ? &svc : nullptr);
-        if (p.asyncEpochs)
-            svc.start();
-        else
-            setup.store->startTimer(p.epochInterval);
-        reb.start();
-        warmupMops = ycsb::run(*setup.store, hotspot).mops();
-        steadyMops = ycsb::run(*setup.store, hotspot).mops();
-        reb.stop();
-        if (p.asyncEpochs)
-            svc.stop();
-        else
-            setup.store->stopTimer();
-        rc = reb.counters();
-        pausesNs = reb.pauseSamplesNs();
+        DurableSetup setup(p, OrderedRange{shards});
+        service::Rebalancer::Options ro = rebalancerOptionsFor(p);
+        ro.elastic = false; // boundary moves only
+        const HistWindow window(obs::Hist::kMigrationPauseNs);
+        const auto res = setup.runPasses(p, hotspot, 2, &ro);
+        warmupMops = res[0].mops();
+        steadyMops = res[1].mops();
+        rc = setup.lastRebalancerCounters;
+        pauses = window.since();
         ycsb::destroyWithValues(*setup.store);
     }
     const double recovered =
         uniformMops > 0.0 ? steadyMops / uniformMops : 0.0;
-    const double p50 = percentile(pausesNs, 50) / 1e6;
-    const double p95 = percentile(pausesNs, 95) / 1e6;
-    const double p99 = percentile(pausesNs, 99) / 1e6;
+    const double p50 = pauses.percentile(50) / 1e6;
+    const double p95 = pauses.percentile(95) / 1e6;
+    const double p99 = pauses.percentile(99) / 1e6;
     std::printf("%-24s %8.3f Mops/s (warm-up %.3f)\n",
                 "hotspot (+rebalance)", steadyMops, warmupMops);
     std::printf("recovered fraction: %.2f of uniform (target >= 0.70)\n",

@@ -58,7 +58,8 @@ main()
 
     // 2. A fine-grain checkpoint: the epoch boundary flushes the cache,
     //    making everything written so far durable. In a real deployment
-    //    this runs on a 64 ms timer (db->epochs().startTimer()).
+    //    an EpochService takes one every 64 ms epoch
+    //    (examples/epoch_service.cpp).
     db->advanceEpoch();
     std::printf("== checkpoint taken ==\n");
 

@@ -17,6 +17,7 @@
 #include <memory>
 
 #include "masstree/durable_tree.h"
+#include "service/epoch_service.h"
 #include "store/sharded_store.h"
 #include "ycsb/driver.h"
 
@@ -74,6 +75,7 @@ main(int argc, char **argv)
             ycsb::preload(mtTree, numKeys);
             const auto mtRes = ycsb::run(
                 mtTree, makeSpec(mix, dist, numKeys, ops, threads));
+            ycsb::destroyWithValues(mtTree); // its values are heap buffers
 
             // MT+: pool allocator.
             mt::MasstreeMTPlus mtPlus;
@@ -82,8 +84,8 @@ main(int argc, char **argv)
                 mtPlus, makeSpec(mix, dist, numKeys, ops, threads));
 
             // INCLL: durable store (1..N shards) with 64 ms checkpoint
-            // epochs and the paper's measured wbinvd cost emulated per
-            // shard.
+            // epochs, driven by an EpochService, and the paper's
+            // measured wbinvd cost emulated per shard.
             store::ShardedStore::Options o;
             o.shards = shards;
             o.poolBytesPerShard = (std::size_t{3} << 30) / shards;
@@ -92,10 +94,11 @@ main(int argc, char **argv)
                 s.pool().latency().wbinvdNs = 1380000; // 1.38 ms (§6.2)
             });
             ycsb::preload(incllTree, numKeys);
-            incllTree.startTimer(std::chrono::milliseconds(64));
+            service::EpochService epochs(incllTree, {});
+            epochs.start();
             const auto incllRes = ycsb::run(
                 incllTree, makeSpec(mix, dist, numKeys, ops, threads));
-            incllTree.stopTimer();
+            epochs.stop();
 
             const double overhead =
                 (mtPlusRes.mops() - incllRes.mops()) / mtPlusRes.mops();

@@ -13,9 +13,7 @@
 # fig2/fig4 at both --shards 1 and --shards 4, fig2 additionally with
 # --placement range (vs the hash default, so the YCSB_E rows capture the
 # scan-locality delta: scan_shards_per_scan ~1 under range vs 4 under
-# hash — the gather-merge bypassed), fig4 additionally in both epoch
-# modes (sync per-shard timers vs --async-epochs EpochService pool, so
-# the JSON captures the boundary-cost delta) and batched, and the
+# hash — the gather-merge bypassed), fig4 additionally batched, and the
 # recovery-time bench at both shard counts plus a range-placement run
 # (exercising boundary-table recovery), and the online-rebalancing
 # bench (shifting-hotspot YCSB with/without the Rebalancer,
@@ -102,16 +100,12 @@ run fig2_throughput  BENCH_fig2_shards1.json --shards 1
 run fig2_throughput  BENCH_fig2_shards4.json --shards 4
 run fig2_throughput  BENCH_fig2_shards4_range.json --shards 4 --placement range
 # fig4 runs at a 2 ms epoch so the CI-sized workload crosses several
-# boundaries per run — that makes the sync vs async epoch-boundary cost
-# columns (epoch_advances / epoch_boundary_ms / gate_wait_ms) meaningful.
+# boundaries per run — that makes the epoch-boundary cost columns
+# (epoch_advances / epoch_boundary_ms / gate_wait_ms) meaningful.
 run fig4_threads     BENCH_fig4_shards1.json --shards 1 --epoch-ms 2
 run fig4_threads     BENCH_fig4_shards4.json --shards 4 --epoch-ms 2
-run fig4_threads     BENCH_fig4_shards1_async.json \
-                     --shards 1 --epoch-ms 2 --async-epochs
-run fig4_threads     BENCH_fig4_shards4_async.json \
-                     --shards 4 --epoch-ms 2 --async-epochs
-run fig4_threads     BENCH_fig4_shards4_async_batch8.json \
-                     --shards 4 --epoch-ms 2 --async-epochs --batch 8
+run fig4_threads     BENCH_fig4_shards4_batch8.json \
+                     --shards 4 --epoch-ms 2 --batch 8
 run fig3_latency     BENCH_fig3.json
 run fig5_treesize    BENCH_fig5.json --ops 10000
 run recovery_time    BENCH_recovery_shards1.json --shards 1

@@ -4,25 +4,9 @@
  */
 #include "common/stats.h"
 
-#include <algorithm>
-#include <cmath>
 #include <sstream>
 
 namespace incll {
-
-double
-percentile(std::vector<double> samples, double p)
-{
-    if (samples.empty())
-        return 0.0;
-    std::sort(samples.begin(), samples.end());
-    p = std::min(100.0, std::max(0.0, p));
-    const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const auto hi = std::min(lo + 1, samples.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return samples[lo] + frac * (samples[hi] - samples[lo]);
-}
 
 const char *
 statName(Stat s)

@@ -24,24 +24,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "obs/metrics.h"
 
 namespace incll {
-
-/**
- * Percentile of a sample set by linear interpolation between closest
- * ranks (the common "exclusive of extrapolation" definition: p = 0 is
- * the minimum, p = 100 the maximum). @p samples need not be sorted; a
- * sorted copy is made internally, so this is for offline reporting, not
- * hot paths. @p p is clamped to [0, 100].
- *
- * Edge cases: an empty sample set yields 0.0 (reporting code prints
- * zero rather than crashing on an idle counter); a singleton yields its
- * only element for every p.
- */
-double percentile(std::vector<double> samples, double p);
 
 /** Counter identifiers; keep in sync with statName(). */
 enum class Stat : unsigned {

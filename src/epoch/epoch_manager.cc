@@ -4,8 +4,6 @@
  */
 #include "epoch/epoch_manager.h"
 
-#include <cassert>
-
 #include "nvm/pool.h"
 
 namespace incll {
@@ -23,11 +21,6 @@ EpochManager::EpochManager(nvm::Pool &pool, std::uint64_t *durableEpoch,
     }
     epochMirror_.store(*durableEpoch_, std::memory_order_relaxed);
     firstExecEpoch_ = *durableEpoch_;
-}
-
-EpochManager::~EpochManager()
-{
-    stopTimer();
 }
 
 void
@@ -131,30 +124,6 @@ EpochManager::markCrashRecovery()
     while (oldest > 1 && failed_.isFailed(oldest - 1))
         --oldest;
     oldestRelevantFailed_ = oldest;
-}
-
-void
-EpochManager::startTimer(std::chrono::milliseconds interval)
-{
-    assert(!timer_.joinable());
-    timerStop_.store(false, std::memory_order_relaxed);
-    timer_ = std::thread([this, interval] {
-        while (!timerStop_.load(std::memory_order_acquire)) {
-            std::this_thread::sleep_for(interval);
-            if (timerStop_.load(std::memory_order_acquire))
-                break;
-            advance();
-        }
-    });
-}
-
-void
-EpochManager::stopTimer()
-{
-    if (!timer_.joinable())
-        return;
-    timerStop_.store(true, std::memory_order_release);
-    timer_.join();
 }
 
 } // namespace incll

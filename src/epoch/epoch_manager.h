@@ -23,7 +23,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <thread>
 #include <vector>
 
 #include "common/stats.h"
@@ -55,7 +54,6 @@ class EpochManager
      */
     EpochManager(nvm::Pool &pool, std::uint64_t *durableEpoch,
                  FailedEpochRecord *failedRecord, bool fresh);
-    ~EpochManager();
 
     EpochManager(const EpochManager &) = delete;
     EpochManager &operator=(const EpochManager &) = delete;
@@ -175,12 +173,6 @@ class EpochManager
      */
     void markCrashRecovery();
 
-    /** Start a background thread advancing every @p interval. */
-    void startTimer(std::chrono::milliseconds interval = kDefaultInterval);
-
-    /** Stop the background advance thread (idempotent). */
-    void stopTimer();
-
   private:
     void persistEpochWord(std::uint64_t value);
     void addCounter(Stat stat, std::uint64_t n = 1);
@@ -198,9 +190,6 @@ class EpochManager
     std::vector<std::function<void(std::uint64_t)>> hooks_;
     std::vector<std::function<void()>> prepareHooks_;
     int statShard_ = -1;
-
-    std::thread timer_;
-    std::atomic<bool> timerStop_{false};
 };
 
 /** Split helpers for the 16-bit epoch encodings (paper §4.1.3). */

@@ -121,7 +121,7 @@ struct HistSnapshot : HistBuckets
     /**
      * Percentile by cumulative bucket walk with linear interpolation
      * inside the containing bucket. p is clamped to [0, 100]; an empty
-     * histogram yields 0.0 (mirrors incll::percentile()).
+     * histogram yields 0.0, so a report prints zero for an idle one.
      */
     double
     percentile(double p) const

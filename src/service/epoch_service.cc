@@ -109,11 +109,8 @@ void
 EpochService::workerLoop()
 {
     // This thread may not start a *scheduled* advance before `eligible`
-    // (the duty-cycle pacing; see Options::maxDutyCycle).
+    // (the duty-cycle pacing; see kMaxDutyCycle).
     auto eligible = Clock::now();
-    const double duty =
-        std::clamp(options_.maxDutyCycle, 0.01, 1.0);
-
     const bool sampling = options_.sampleInterval.count() > 0;
 
     std::unique_lock lk(mu_);
@@ -198,10 +195,10 @@ EpochService::workerLoop()
                 .count());
         const std::uint64_t bytesNow =
             logBytes(static_cast<unsigned>(pick));
-        if (!pickUrgent && duty < 1.0)
+        if (!pickUrgent)
             eligible = tEnd + std::chrono::nanoseconds(static_cast<
-                std::int64_t>(static_cast<double>(ns) * (1.0 - duty) /
-                              duty));
+                std::int64_t>(static_cast<double>(ns) *
+                              (1.0 - kMaxDutyCycle) / kMaxDutyCycle));
 
         lk.lock();
         ss.bytesAtBoundary.store(bytesNow, std::memory_order_relaxed);

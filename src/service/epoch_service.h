@@ -14,6 +14,12 @@
  * PAPERS.md): keep coordination out of the hot path by making it
  * per-shard state that a background actor maintains.
  *
+ * It is the one epoch driver: the server, the benches' workload runs
+ * and perfbench run their stores under it, and it follows topology
+ * changes (a member added at runtime is scheduled from its commit on).
+ * Direct advanceEpoch() calls remain for tests, recovery, explicit
+ * checkpoints and the transition engine's commit points.
+ *
  * Scheduling: each shard has a deadline (last boundary + interval) and
  * an urgent flag. Service threads pick whichever shard is due (urgent
  * first), run its advance exclusively (a shard never has two concurrent
@@ -95,20 +101,21 @@ class EpochService
          * cheaper than a boundary.
          */
         std::chrono::milliseconds sampleInterval{0};
-        /**
-         * Bound on the fraction of wall time each service thread may
-         * spend inside scheduled advances. When the configured interval
-         * is infeasible (boundary cost × shard count exceeds the pool's
-         * capacity), an unpaced service would advance back-to-back,
-         * keeping a constant fraction of the shards quiesced and
-         * starving the request path; with pacing the effective epoch
-         * stretches instead — after a scheduled advance of duration D a
-         * thread stays idle for D·(1-duty)/duty. Urgent advances
-         * (backpressure, advanceAllAndWait) are exempt: there a caller
-         * is already blocked waiting on the boundary.
-         */
-        double maxDutyCycle = 0.5;
     };
+
+    /**
+     * Bound on the fraction of wall time each service thread may spend
+     * inside scheduled advances. When the configured interval is
+     * infeasible (boundary cost × shard count exceeds the pool's
+     * capacity), an unpaced service would advance back-to-back, keeping
+     * a constant fraction of the shards quiesced and starving the
+     * request path; with pacing the effective epoch stretches instead —
+     * after a scheduled advance of duration D a thread stays idle for
+     * D·(1-duty)/duty, i.e. D at this bound. Urgent advances
+     * (backpressure, advanceAllAndWait) are exempt: there a caller is
+     * already blocked waiting on the boundary.
+     */
+    static constexpr double kMaxDutyCycle = 0.5;
 
     /** Per-shard service counters (monotonic since start()). */
     struct ShardCounters

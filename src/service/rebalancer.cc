@@ -219,7 +219,6 @@ Rebalancer::elasticOnce(const std::vector<std::uint64_t> &ops, int hot)
             ++counters_.adds;
             counters_.keysMoved += res.keysMoved;
             counters_.lastVersion = res.version;
-            pauseNs_.push_back(static_cast<double>(res.pauseNs));
             return true;
         } catch (const std::exception &) {
             return false; // raced a manual migration / not governable
@@ -273,7 +272,6 @@ Rebalancer::elasticOnce(const std::vector<std::uint64_t> &ops, int hot)
             ++counters_.merges;
             counters_.keysMoved += res.keysMoved;
             counters_.lastVersion = res.version;
-            pauseNs_.push_back(static_cast<double>(res.pauseNs));
         }
         retireUnrouted(); // the emptied shard is drained: free it now
         return true;
@@ -337,7 +335,6 @@ Rebalancer::rebalanceOnce()
         ++counters_.migrations;
         counters_.keysMoved += res.keysMoved;
         counters_.lastVersion = res.version;
-        pauseNs_.push_back(static_cast<double>(res.pauseNs));
     }
     return true;
 }
@@ -347,13 +344,6 @@ Rebalancer::counters() const
 {
     std::lock_guard lk(mu_);
     return counters_;
-}
-
-std::vector<double>
-Rebalancer::pauseSamplesNs() const
-{
-    std::lock_guard lk(mu_);
-    return pauseNs_;
 }
 
 } // namespace incll::service

@@ -136,10 +136,6 @@ class Rebalancer
 
     Counters counters() const;
 
-    /** Commit-pause durations (ns) of every migration so far, for
-     *  percentile reporting (common/stats percentile()). */
-    std::vector<double> pauseSamplesNs() const;
-
   private:
     /** Hot shard index, or -1 when the load is balanced/idle. */
     int detectHotShard(std::vector<std::uint64_t> &opsOut) const;
@@ -172,7 +168,6 @@ class Rebalancer
     mutable std::mutex mu_;
     std::condition_variable stopCv_;
     Counters counters_;
-    std::vector<double> pauseNs_;
     std::thread thread_;
     bool stopFlag_ = false;
     std::atomic<bool> running_{false};

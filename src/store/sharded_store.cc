@@ -231,22 +231,6 @@ ShardedStore::skipIdleShardEpoch(unsigned pos)
     return pos < t.count() && t.shards[pos]->tree().epochs().skipIfIdle();
 }
 
-void
-ShardedStore::startTimer(std::chrono::milliseconds interval)
-{
-    TopoGuard pin(*this);
-    for (Shard *s : pin.topo().shards)
-        s->tree().epochs().startTimer(interval);
-}
-
-void
-ShardedStore::stopTimer()
-{
-    TopoGuard pin(*this);
-    for (Shard *s : pin.topo().shards)
-        s->tree().epochs().stopTimer();
-}
-
 std::uint64_t
 ShardedStore::lastRecoveryLogApplied() const
 {

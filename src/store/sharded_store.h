@@ -60,8 +60,8 @@
  *  - addShard() — spin up a fresh pool/epochs/log/allocator/tree via
  *    the Shard lifecycle and split a hot interval into it
  *  - retireShard() — destroy a drained, unrouted shard: wait out the
- *    table-epoch grace period, stop its timers, unregister its tracked
- *    pool (Pool teardown), release the memory. No durable write — the
+ *    table-epoch grace period, unregister its tracked pool (Pool
+ *    teardown), release the memory. No durable write — the
  *    shard already left the durable membership at its merge commit, so
  *    a crash anywhere around retirement recovers to the same topology
  *    and discards the orphan pool wholesale.
@@ -893,8 +893,9 @@ class ShardedStore
     /**
      * Destroy the unrouted shard with durable pool id @p poolId: wait
      * for every reader pinning a retired topology snapshot to release
-     * (they are the only paths that can still reach the shard), stop
-     * its timers, then destroy it — tree torn down, tracked pool
+     * (they are the only paths that can still reach the shard, an
+     * EpochService advance among them), then destroy it — tree torn
+     * down, tracked pool
      * unregistered, memory released. Returns retired=false if no owned
      * shard has that id. No durable write happens: the shard already
      * left the durable membership at its merge commit, so recovery
@@ -937,21 +938,6 @@ class ShardedStore
      */
     bool skipIdleShardEpoch(unsigned pos);
 
-    /**
-     * Start per-shard epoch timers on the current members. Each shard
-     * advances on its own thread with no cross-shard barrier; starts
-     * are naturally staggered by construction order. Pair with
-     * stopTimer(); the EpochService is the pooled alternative (and the
-     * only one that follows topology changes — a shard added after
-     * startTimer() has no timer).
-     */
-    void startTimer(
-        std::chrono::milliseconds interval = EpochManager::kDefaultInterval);
-
-    /** Stop the per-shard timers; in-flight boundaries complete first.
-     *  Idempotent. */
-    void stopTimer();
-
     // -- recovery / teardown --------------------------------------------
 
     /** Log images applied by the last recovery, summed over shards. */
@@ -961,8 +947,8 @@ class ShardedStore
      * Drop every owned shard's transient tree object (process death)
      * and hand back the pools — members first in position order, then
      * unrouted shards — ready to be crash()ed and fed to the recovery
-     * constructor. Requires quiescence (no operations, no timers, no
-     * service attached). The store is unusable afterwards.
+     * constructor. Requires quiescence (no operations, no service
+     * attached). The store is unusable afterwards.
      */
     std::vector<std::unique_ptr<nvm::Pool>> releasePools();
 

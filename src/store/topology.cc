@@ -190,13 +190,12 @@ ShardedStore::retireShard(std::uint32_t poolId)
     // moveMu_ is held and the shard is unrouted, so nothing can route
     // NEW references to it; the only live paths that may still touch it
     // are readers pinning a retired routing snapshot (the current
-    // snapshot never references an unrouted shard). Wait those out —
-    // the table-epoch grace period — and the shard is unreachable.
+    // snapshot never references an unrouted shard) — an EpochService
+    // advance among them, since advanceShardEpoch holds a TopoGuard
+    // across the boundary. Wait those out — the table-epoch grace
+    // period — and the shard is unreachable.
     res.graceNs = drainRetiredPins(
         placementVersion_.load(std::memory_order_acquire));
-    // In-flight timer boundaries complete before stopTimer returns, so
-    // destruction below never races an advance.
-    victim->tree().epochs().stopTimer();
     std::unique_ptr<Shard> dead;
     {
         std::lock_guard lk(ownedMu_);

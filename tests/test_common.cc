@@ -238,29 +238,6 @@ TEST(Zipf, ThetaNearOneStaysInRangeAndSkews)
     EXPECT_GT(zeros, draws / 10); // heavily skewed toward rank 0
 }
 
-TEST(Percentile, EmptyYieldsZero)
-{
-    EXPECT_EQ(percentile({}, 0.0), 0.0);
-    EXPECT_EQ(percentile({}, 50.0), 0.0);
-    EXPECT_EQ(percentile({}, 100.0), 0.0);
-}
-
-TEST(Percentile, SingletonYieldsElementForEveryP)
-{
-    for (double p : {-10.0, 0.0, 37.5, 99.9, 100.0, 250.0})
-        EXPECT_EQ(percentile({42.0}, p), 42.0);
-}
-
-TEST(Percentile, InterpolatesAndClamps)
-{
-    const std::vector<double> v{4.0, 1.0, 3.0, 2.0}; // unsorted on purpose
-    EXPECT_EQ(percentile(v, 0.0), 1.0);
-    EXPECT_EQ(percentile(v, 100.0), 4.0);
-    EXPECT_DOUBLE_EQ(percentile(v, 50.0), 2.5);
-    EXPECT_EQ(percentile(v, -5.0), 1.0);   // clamped to min
-    EXPECT_EQ(percentile(v, 400.0), 4.0);  // clamped to max
-}
-
 TEST(Stats, AddAndReset)
 {
     StatSet stats;

@@ -179,15 +179,6 @@ TEST_F(EpochFixture, WritesMarkTheEpochAndAdvanceClearsIt)
     EXPECT_TRUE(recovered.epochWritten());
 }
 
-TEST_F(EpochFixture, TimerAdvances)
-{
-    EpochManager mgr(*pool, epochWord, failedRec, true);
-    mgr.startTimer(std::chrono::milliseconds(5));
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    mgr.stopTimer();
-    EXPECT_GT(mgr.currentEpoch(), 2u);
-}
-
 TEST_F(EpochFixture, EpochSplitHelpers)
 {
     EXPECT_EQ(epochLow16(0x12345678), 0x5678u);

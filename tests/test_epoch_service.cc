@@ -4,10 +4,10 @@
  * urgent advances and the advanceAllAndWait barrier, write
  * backpressure, the batched multiGet/multiPut front-end, the
  * gate-held-across-scan value-lifetime guarantee, crash recovery
- * when the crash lands during an asynchronous boundary, and idle-shard
- * elision: every durable write marks its epoch, and a shard whose
+ * when the crash lands during an asynchronous boundary, idle-shard
+ * elision (every durable write marks its epoch, and a shard whose
  * epoch was never marked skips its scheduled boundary without losing
- * a write.
+ * a write), and the member set changing under the running service.
  */
 #include <gtest/gtest.h>
 
@@ -792,6 +792,93 @@ TEST(IdleElision, WrittenShardAdvancesIdleShardsSkipCrashKeepsCommits)
     }
     EXPECT_EQ(st->scan({}, SIZE_MAX, [](std::string_view, void *) {}),
               model.size());
+}
+
+TEST(EpochServiceTopology, FollowsAddedMemberAndRetiresMergedOne)
+{
+    // The one epoch driver follows the member set: a shard added while
+    // the service runs takes scheduled boundaries from its commit on,
+    // and a shard merged away under the running service is retired
+    // with nothing stopped first — the table-epoch pin drain waits out
+    // any advance still on it.
+    ShardedStore::Options o = directOptions(2);
+    o.config.placement = store::PlacementKind::kRange;
+    ShardedStore st(o);
+    // Even u64 range boundaries: the top key bit picks the shard, and
+    // quarter 3 is the range the added member takes over.
+    auto keyOf = [](std::uint64_t quarter, std::uint64_t i) {
+        return mt::u64Key((quarter << 62) | i);
+    };
+    std::map<std::string, void *> model;
+    auto put = [&](std::uint64_t quarter, std::uint64_t i) {
+        const std::string k = keyOf(quarter, i);
+        st.put(k, tag(quarter * 100000 + i + 1));
+        model[k] = tag(quarter * 100000 + i + 1);
+    };
+    for (std::uint64_t q = 0; q < 4; ++q)
+        for (std::uint64_t i = 0; i < 200; ++i)
+            put(q, i);
+    st.advanceEpoch();
+
+    EpochService::Options so;
+    so.threads = 2;
+    so.interval = std::chrono::milliseconds(2);
+    EpochService svc(st, so);
+    svc.start();
+
+    // Writes to every member each round (an unwritten epoch is skipped,
+    // not advanced) until @p done or the suite's 30 s bound.
+    std::uint64_t round = 1000;
+    auto writeUntil = [&](auto &&done) {
+        const auto giveUp =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (!done() && std::chrono::steady_clock::now() < giveUp) {
+            for (std::uint64_t q = 0; q < 4; ++q)
+                put(q, round);
+            ++round;
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        return done();
+    };
+
+    const store::MoveResult added = st.addShard(1, keyOf(3, 0));
+    ASSERT_TRUE(added.completed);
+    ASSERT_EQ(st.shardCount(), 3u);
+    const std::uint64_t epochAtAdd =
+        st.shard(2).tree().epochs().currentEpoch();
+    // Nothing here asks for an urgent advance (no barrier, backpressure
+    // or debt kick), so every advance counted is a scheduled one.
+    ASSERT_TRUE(writeUntil([&] { return svc.counters(2).advances >= 2; }))
+        << "the added member took " << svc.counters(2).advances
+        << " boundaries";
+    EXPECT_GE(st.shard(2).tree().epochs().currentEpoch(), epochAtAdd + 2);
+    EXPECT_EQ(svc.counters(2).debtAdvances, 0u);
+    EXPECT_EQ(svc.counters(2).throttleStalls, 0u);
+
+    const store::MoveResult merged = st.mergeBoundary(2, 1);
+    ASSERT_TRUE(merged.completed);
+    ASSERT_EQ(st.shardCount(), 2u);
+    const std::vector<std::uint32_t> unrouted = st.unroutedPoolIds();
+    ASSERT_EQ(unrouted.size(), 1u);
+    EXPECT_TRUE(st.retireShard(unrouted[0]).retired);
+    EXPECT_TRUE(st.unroutedPoolIds().empty());
+
+    // The service keeps driving the position that absorbed the range.
+    const std::uint64_t absorbed = svc.counters(1).advances;
+    ASSERT_TRUE(writeUntil(
+        [&] { return svc.counters(1).advances >= absorbed + 1; }));
+    svc.stop();
+
+    auto it = model.begin();
+    const std::size_t n =
+        st.scan({}, SIZE_MAX, [&](std::string_view k, void *v) {
+            ASSERT_NE(it, model.end()) << "extra key in scan";
+            EXPECT_EQ(std::string(k), it->first);
+            EXPECT_EQ(v, it->second);
+            ++it;
+        });
+    EXPECT_EQ(n, model.size());
+    EXPECT_EQ(it, model.end());
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
  * Stress tests for the epoch gate (the per-epoch global barrier) and
- * the durable tree under concurrent workers + a timer advancer.
+ * the durable tree under concurrent workers + a periodic advancer.
  *
  * Rule for the suites here (the historical flake source): never
  * sleep-and-assert against epoch progress. The EpochService's
@@ -261,12 +261,19 @@ TEST(ServiceBarrierStress, ExplicitBarriersUnderWriterLoad)
 
 TEST(DurableConcurrency, WorkersWithTimerAdvances)
 {
-    // Concurrent writers + a fast checkpoint timer: structural sanity
-    // (no lost keys, exact final count) after heavy gate traffic.
+    // Concurrent writers + a thread advancing the epoch every 2 ms:
+    // structural sanity (no lost keys, exact final count) after heavy
+    // gate traffic.
     auto pool =
         std::make_unique<nvm::Pool>(1u << 27, nvm::Mode::kDirect);
     mt::DurableMasstree tree(*pool);
-    tree.epochs().startTimer(std::chrono::milliseconds(2));
+    std::atomic<bool> stop{false};
+    std::thread advancer([&] {
+        while (!stop.load(std::memory_order_acquire)) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            tree.epochs().advance();
+        }
+    });
 
     constexpr unsigned kThreads = 4;
     constexpr std::uint64_t kPerThread = 5000;
@@ -284,7 +291,8 @@ TEST(DurableConcurrency, WorkersWithTimerAdvances)
     }
     for (auto &w : workers)
         w.join();
-    tree.epochs().stopTimer();
+    stop.store(true, std::memory_order_release);
+    advancer.join();
 
     EXPECT_EQ(tree.tree().size(), kThreads * kPerThread);
     void *out = nullptr;

@@ -6,7 +6,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
+#include <thread>
 
 #include "masstree/durable_tree.h"
 #include "ycsb/driver.h"
@@ -67,18 +70,26 @@ TEST(IntegrationMTPlus, ZipfianRuns)
 TEST(IntegrationDurable, DirectModeWithTimerEpochs)
 {
     // Direct (untracked) pool: the throughput configuration used by the
-    // benchmarks, with a background 5 ms epoch timer.
+    // benchmarks, with a background thread advancing the epoch every
+    // 5 ms.
     auto pool =
         std::make_unique<nvm::Pool>(1u << 27, nvm::Mode::kDirect);
     DurableMasstree t(*pool);
     ycsb::preload(t, 4096);
-    t.epochs().startTimer(std::chrono::milliseconds(5));
+    std::atomic<bool> stop{false};
+    std::thread advancer([&] {
+        while (!stop.load(std::memory_order_acquire)) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            t.epochs().advance();
+        }
+    });
     for (const auto dist :
          {KeyChooser::Dist::kUniform, KeyChooser::Dist::kZipfian}) {
         const auto res = ycsb::run(t, smallSpec(ycsb::Mix::kA, dist));
         EXPECT_GT(res.mops(), 0.0);
     }
-    t.epochs().stopTimer();
+    stop.store(true, std::memory_order_release);
+    advancer.join();
     checkUniverse(t, 4096);
 }
 

@@ -112,9 +112,16 @@ TEST(HistSnapshot, PercentileTracksExactWithinBucketWidth)
         snap.record(v);
         exact.push_back(static_cast<double>(v));
     }
+    std::sort(exact.begin(), exact.end());
     for (const double p : {50.0, 90.0, 95.0, 99.0, 99.9}) {
         const double approx = snap.percentile(p);
-        const double truth = percentile(exact, p);
+        // Exact: linear interpolation between the closest ranks.
+        const double rank =
+            p / 100.0 * static_cast<double>(exact.size() - 1);
+        const auto lo = static_cast<std::size_t>(rank);
+        const double truth =
+            exact[lo] + (rank - static_cast<double>(lo)) *
+                            (exact[lo + 1] - exact[lo]);
         // 1/16 relative bound from the bucket width, plus one unit of
         // absolute slack for the interpolation conventions differing.
         EXPECT_NEAR(approx, truth, truth / 16.0 + 1.0)

@@ -4,8 +4,8 @@
  *
  * Centerpiece: a crash-injection matrix over every phase of the
  * key-move migration protocol — {before copy, mid-copy, after copy
- * pre-commit, post-commit pre-GC} × {sync, async epochs} — asserting
- * that recovery lands on exactly the old or exactly the new placement
+ * pre-commit, post-commit pre-GC} × {inline, service-driven advances}
+ * — asserting that recovery lands on exactly the old or exactly the new placement
  * (boundary tables compared byte-for-byte) with zero lost and zero
  * duplicated keys against a std::map oracle. Plus: the live protocol
  * end-to-end (with writes injected at every phase through the
@@ -21,6 +21,7 @@
 #include <tuple>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "service/epoch_service.h"
 #include "service/rebalancer.h"
 #include "store/sharded_store.h"
@@ -260,8 +261,8 @@ TEST(MoveBoundary, RejectsInvalidRequests)
  *   kMidCopy      one chunk copied, the rest not
  *   kPreCommit    whole interval copied, commit manifest never written
  *   kPostCommit   commit manifest durable, source leftovers not GC'd
- * crossed with sync (inline advances) and async (EpochService racing
- * the copy with 1 ms boundaries, move advances routed through it).
+ * crossed with inline advances and with an EpochService racing the
+ * copy with 1 ms boundaries (move advances routed through it).
  */
 enum CrashPoint { kBeforeCopy = 0, kMidCopy, kPreCommit, kPostCommit };
 
@@ -272,16 +273,16 @@ class RebalanceCrashMatrix
 
 TEST_P(RebalanceCrashMatrix, RecoversToExactlyOldOrNewPlacement)
 {
-    const auto [crashPoint, asyncEpochs] = GetParam();
+    const auto [crashPoint, withService] = GetParam();
     const auto seed =
-        static_cast<std::uint64_t>(1000 + crashPoint * 2 + asyncEpochs);
+        static_cast<std::uint64_t>(1000 + crashPoint * 2 + withService);
 
     auto st = std::make_unique<ShardedStore>(rebalanceOptions(seed));
     Model model;
     preloadModel(*st, model);
 
     std::unique_ptr<service::EpochService> svc;
-    if (asyncEpochs) {
+    if (withService) {
         service::EpochService::Options so;
         so.threads = 2;
         so.interval = std::chrono::milliseconds(1);
@@ -350,7 +351,7 @@ TEST_P(RebalanceCrashMatrix, RecoversToExactlyOldOrNewPlacement)
     const RecoveryInfo &info = st->lastRecoveryInfo();
     EXPECT_TRUE(info.migrationPending);
     EXPECT_EQ(info.migrationCommitted, committed);
-    if (crashPoint == kBeforeCopy && !asyncEpochs) {
+    if (crashPoint == kBeforeCopy && !withService) {
         EXPECT_EQ(info.sweptKeys, 0u);
     }
     if (crashPoint == kPostCommit) {
@@ -457,10 +458,14 @@ TEST(RebalancerService, DetectsSkewAndSplitsHotShard)
             void *out = nullptr;
             st.get(key(r), out);
         }
+    const std::uint64_t pausesBefore =
+        obs::hist(obs::Hist::kMigrationPauseNs).snapshot().count;
     EXPECT_TRUE(reb.rebalanceOnce());
     EXPECT_EQ(reb.counters().migrations, 1u);
     EXPECT_EQ(st.placementVersion(), 1u);
-    EXPECT_EQ(reb.pauseSamplesNs().size(), 1u);
+    // The commit recorded its writer pause.
+    EXPECT_EQ(obs::hist(obs::Hist::kMigrationPauseNs).snapshot().count,
+              pausesBefore + 1);
 
     // The split point divides the former hot range: shard 1's span
     // shrank, its neighbour's grew, and nothing was lost.

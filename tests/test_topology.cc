@@ -4,11 +4,11 @@
  *
  * Centerpiece: crash-injection matrices over every phase of the merge
  * and add transitions — {before copy, mid-copy, after copy pre-commit,
- * post-commit pre-GC} × {sync, async epochs} — asserting that recovery
- * lands on exactly the old or exactly the new topology (member ids and
- * boundary tables compared byte-for-byte), that pools outside the
- * committed member set are discarded as orphans, and that zero keys are
- * lost or duplicated against a std::map oracle. Plus: the live
+ * post-commit pre-GC} × {inline, service-driven advances} — asserting
+ * that recovery lands on exactly the old or exactly the new topology
+ * (member ids and boundary tables compared byte-for-byte), that pools
+ * outside the committed member set are discarded as orphans, and that
+ * zero keys are lost or duplicated against a std::map oracle. Plus: the live
  * protocols end-to-end with writes injected at every phase, retirement
  * (idempotence, crash-equivalence, refusal while routed), validation
  * errors including the membership cap, the routing-table-epoch
@@ -387,8 +387,8 @@ TEST(TopologyValidation, MembershipCapIsEnforced)
 //   kMidCopy      one chunk copied, the rest not
 //   kPreCommit    whole interval copied, commit manifest never written
 //   kPostCommit   commit manifest durable, source leftovers not GC'd
-// crossed with sync (inline advances) and async (EpochService racing
-// the copy with 1 ms boundaries, advances routed through it).
+// crossed with inline advances and with an EpochService racing the
+// copy with 1 ms boundaries (advances routed through it).
 // ---------------------------------------------------------------------
 
 enum CrashPoint { kBeforeCopy = 0, kMidCopy, kPreCommit, kPostCommit };
@@ -403,7 +403,7 @@ class CrashRig
     }
 
     void
-    startAsync()
+    startService()
     {
         service::EpochService::Options so;
         so.threads = 2;
@@ -476,11 +476,11 @@ class MergeCrashMatrix
 
 TEST_P(MergeCrashMatrix, RecoversToExactlyOldOrNewTopology)
 {
-    const auto [crashPoint, asyncEpochs] = GetParam();
+    const auto [crashPoint, withService] = GetParam();
     CrashRig rig(static_cast<std::uint64_t>(2000 + crashPoint * 2 +
-                                            asyncEpochs));
-    if (asyncEpochs)
-        rig.startAsync();
+                                            withService));
+    if (withService)
+        rig.startService();
 
     // Merging shard 1 RIGHT into shard 2: the survivor's lower bound
     // drops to key(500), so the new table differs from the old in one
@@ -566,11 +566,11 @@ class AddCrashMatrix
 
 TEST_P(AddCrashMatrix, RecoversToExactlyOldOrNewTopology)
 {
-    const auto [crashPoint, asyncEpochs] = GetParam();
+    const auto [crashPoint, withService] = GetParam();
     CrashRig rig(static_cast<std::uint64_t>(3000 + crashPoint * 2 +
-                                            asyncEpochs));
-    if (asyncEpochs)
-        rig.startAsync();
+                                            withService));
+    if (withService)
+        rig.startService();
 
     // Splitting shard 1's tail [750, 1000) into a brand-new member
     // (durable pool id 4, position 2).
