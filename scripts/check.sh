@@ -6,7 +6,7 @@
 #   scripts/check.sh stress     # run only the long property/stress suites
 #   scripts/check.sh san        # ASan+UBSan build, run tier1 suites
 #   scripts/check.sh tsan       # TSan build, run the epoch/gate/service/
-#                               # allocator/pin concurrency suites
+#                               # allocator/pin/server concurrency suites
 #                               # (label: tsan)
 #   scripts/check.sh docs       # no build: doc links + documented flags
 #                               # (scripts/check_docs.sh)

@@ -39,6 +39,7 @@ statName(Stat s)
       case Stat::kTopologyRetires: return "topology_retires";
       case Stat::kServerRequests: return "server_requests";
       case Stat::kServerBatches:  return "server_batches";
+      case Stat::kServerSends:    return "server_sends";
       case Stat::kServerBatchedOps: return "server_batched_ops";
       case Stat::kServerBatchFallbacks: return "server_batch_fallbacks";
       case Stat::kServerCrashes:  return "server_crashes";

@@ -58,6 +58,7 @@ enum class Stat : unsigned {
     kTopologyRetires,   ///< drained shards destroyed by retireShard
     kServerRequests,    ///< wire requests admitted by the server front-end
     kServerBatches,     ///< shard batches flushed to the store
+    kServerSends,       ///< send(2) calls on client sockets
     kServerBatchedOps,  ///< ops executed through flushed shard batches
     kServerBatchFallbacks, ///< batches demoted to per-op routing (stale table)
     kServerCrashes,     ///< admin-triggered crash/recovery cycles served

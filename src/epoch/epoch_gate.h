@@ -24,6 +24,10 @@
  * merged callbacks while the per-shard tree scans re-enter the same
  * gates, and what lets the batched store operations enter a shard's gate
  * once per batch with the per-op guards collapsing to depth bumps.
+ *
+ * advancePending() lets a scheduler look before it enters: the server's
+ * executor leaves a shard's batch queued while that shard's boundary
+ * runs and serves the other shards instead.
  */
 #pragma once
 
@@ -112,6 +116,17 @@ class EpochGate
     {
         const HeldEntry *held = findHeld();
         return held != nullptr ? held->depth : 0;
+    }
+
+    /**
+     * True while an advance holds the gate or waits for it to drain —
+     * exactly when a fresh enter() would stall. A hint read without
+     * entering: an advance can begin or end right after it returns.
+     */
+    bool
+    advancePending() const
+    {
+        return advancing_.load(std::memory_order_acquire);
     }
 
     /**

@@ -44,6 +44,7 @@ setNonBlocking(int fd)
 ssize_t
 sendSome(int fd, const char *data, std::size_t len)
 {
+    globalStats().add(Stat::kServerSends);
     return ::send(fd, data, len, MSG_NOSIGNAL);
 }
 
@@ -160,12 +161,15 @@ struct Server::ShardQueue
 };
 
 /**
- * What one executing batch owes once its store calls are done: the
- * connections it appended responses to, each written once when the
- * batch ends, and each op's latency record, charged against one clock
- * read taken after those writes (admission to response written).
- * `conns` may repeat a connection; writeBatch dedups it. The pointers
- * stay valid for the batch: every op holds its connection (and MULTI
+ * What one executor pass owes once its store calls are done. `batches`
+ * holds the ops it executed (alive until the write: `done` points into
+ * them; the first `taken` are this pass's, the rest keep their capacity
+ * for the next swap with a queue). `conns` lists the connections it
+ * appended responses to, each written once when the pass ends, and may
+ * repeat one; writeBatch dedups it. Each op's latency record and each
+ * batch's flush sample (`batchStarts`) are charged against one clock
+ * read taken after those writes. The raw pointers stay valid until the
+ * batches are cleared: every op holds its connection (and MULTI
  * context) alive.
  */
 struct Server::BatchOut
@@ -177,8 +181,23 @@ struct Server::BatchOut
         obs::Hist hist;
         ExecTiming t;
     };
+    std::vector<std::vector<PendOp>> batches;
+    std::size_t taken = 0;
+    std::vector<Clock::time_point> batchStarts;
     std::vector<Conn *> conns;
     std::vector<Done> done;
+
+    /** Swap @p queued out for an empty vector (its capacity goes back
+     *  to the queue) and return the taken batch. */
+    std::vector<PendOp> &
+    take(std::vector<PendOp> &queued)
+    {
+        if (taken == batches.size())
+            batches.emplace_back();
+        std::vector<PendOp> &batch = batches[taken++];
+        batch.swap(queued);
+        return batch;
+    }
 };
 
 /** A non-batchable request: scan, stats exposition or admin crash. */
@@ -887,13 +906,23 @@ Server::completeMulti(const std::shared_ptr<MultiCtx> &ctx, BatchOut &out)
 void
 Server::execLoop()
 {
+    BatchOut out;
     std::unique_lock lk(execMu_);
     while (!stop_.load(std::memory_order_acquire)) {
         lk.unlock();
+        bool deferred = false;
         bool did = runOneMisc();
-        did |= runPendingBatches();
+        did |= runPendingBatches(out, deferred);
+        if (deferred && !did) {
+            // Every runnable batch waits on its shard's boundary. Give
+            // the CPU up (the boundary's thread may want it) and pass
+            // again, so a batch admitted for an open shard runs at
+            // once instead of behind a gate this thread would block in.
+            std::this_thread::yield();
+        }
         lk.lock();
-        if (did || stop_.load(std::memory_order_acquire) || !miscQ_.empty())
+        if (did || deferred || stop_.load(std::memory_order_acquire) ||
+            !miscQ_.empty())
             continue;
         // Nothing ran: sleep unless a batch became runnable since the
         // pass above. admit() notifies under execMu_, so an admission
@@ -909,71 +938,86 @@ Server::execLoop()
 }
 
 /**
- * Take and execute, in turn, every shard's whole pending batch that no
- * other executor has in flight. A batch is whatever was admitted while
- * the executor was busy; nothing waits for a batch to fill.
+ * One executor pass over the shard queues. Each queue that no other
+ * executor has in flight is taken whole — a batch is whatever was
+ * admitted while the executor was busy; nothing waits for a batch to
+ * fill — unless its shard's epoch boundary holds or is draining the
+ * shard's gate. That batch stays queued, in admission order, and the
+ * pass serves the other shards instead of stalling in the gate. The
+ * executor only looks at the gate: the store calls enter it
+ * themselves, and must, since a batched write's backpressure hook is
+ * skipped for a thread that already holds the gate. Every executed
+ * batch appends to @p out, and the pass ends with one writeBatch: one
+ * write per touched connection per pass. @return whether a batch ran;
+ * @p deferred is set when a batch was left behind a boundary.
  */
 bool
-Server::runPendingBatches()
+Server::runPendingBatches(BatchOut &out, bool &deferred)
 {
-    bool any = false;
-    for (unsigned s = 0; s < queues_.size(); ++s) {
-        std::vector<PendOp> ops;
-        std::uint64_t version = 0;
-        ShardQueue &q = *queues_[s];
-        {
-            std::lock_guard lk(q.mu);
-            if (q.inflight || q.ops.empty())
-                continue;
-            ops.swap(q.ops);
-            version = q.tableVersion;
-            q.inflight = true;
+    {
+        std::shared_lock storeLk(storeMu_);
+        const auto queues = static_cast<unsigned>(queues_.size());
+        // Members past the last queue (an elastic store grew) share
+        // it, so no single shard's boundary speaks for that queue.
+        const bool lastShared = store_->shardCount() > queues;
+        for (unsigned s = 0; s < queues; ++s) {
+            ShardQueue &q = *queues_[s];
+            std::vector<PendOp> *ops = nullptr;
+            std::uint64_t version = 0;
+            {
+                std::lock_guard lk(q.mu);
+                if (q.inflight || q.ops.empty())
+                    continue;
+                if ((s + 1 < queues || !lastShared) &&
+                    store_->shardAdvancePending(s)) {
+                    deferred = true;
+                    continue;
+                }
+                ops = &out.take(q.ops);
+                version = q.tableVersion;
+                q.inflight = true;
+            }
+            executeBatch(s, *ops, version, out);
+            bool followOn;
+            {
+                std::lock_guard lk(q.mu);
+                q.inflight = false;
+                followOn = !q.ops.empty();
+            }
+            if (followOn) {
+                // Ops admitted while this batch ran were skipped by
+                // every other executor (inflight was set); wake one.
+                std::lock_guard lk(execMu_);
+                execCv_.notify_one();
+            }
         }
-        executeBatch(s, ops, version);
-        bool followOn;
-        {
-            std::lock_guard lk(q.mu);
-            q.inflight = false;
-            followOn = !q.ops.empty();
-        }
-        if (followOn) {
-            // Ops admitted while this batch ran were skipped by every
-            // other executor (inflight was set); wake one for them.
-            std::lock_guard lk(execMu_);
-            execCv_.notify_one();
-        }
-        any = true;
     }
-    return any;
+    const bool ran = out.taken > 0;
+    writeBatch(out);
+    return ran;
 }
 
 void
 Server::executeBatch(unsigned shardIdx, std::vector<PendOp> &ops,
-                     std::uint64_t tableVersion)
+                     std::uint64_t tableVersion, BatchOut &out)
 {
     globalStats().addShard(Stat::kServerBatches, shardIdx);
     globalStats().addShard(Stat::kServerBatchedOps, shardIdx, ops.size());
-    obs::ScopedRecordNs flushRec(true, obs::Hist::kServerBatchFlushNs);
-    BatchOut out;
-    out.done.reserve(ops.size());
-    {
-        std::shared_lock storeLk(storeMu_);
-        // The batch was grouped by shard under the placement table
-        // current at admission. If a migration has committed since
-        // (version moved) or is in flight now, that grouping may be
-        // stale — keys of this batch can already belong to another
-        // shard, or sit inside a dual-write window. Demote exactly such
-        // batches to per-op routing: the point-op paths re-route and
-        // dual-write correctly no matter what the table does mid-op.
-        if (store_->placementVersion() != tableVersion ||
-            store_->migrationInProgress()) {
-            globalStats().add(Stat::kServerBatchFallbacks);
-            executeBatchPerOp(ops, static_cast<int>(shardIdx), out);
-        } else {
-            executeRuns(shardIdx, ops, out);
-        }
+    out.batchStarts.push_back(Clock::now());
+    // The batch was grouped by shard under the placement table current
+    // at admission. If a migration has committed since (version moved)
+    // or is in flight now, that grouping may be stale — keys of this
+    // batch can already belong to another shard, or sit inside a
+    // dual-write window. Demote exactly such batches to per-op routing:
+    // the point-op paths re-route and dual-write correctly no matter
+    // what the table does mid-op.
+    if (store_->placementVersion() != tableVersion ||
+        store_->migrationInProgress()) {
+        globalStats().add(Stat::kServerBatchFallbacks);
+        executeBatchPerOp(ops, static_cast<int>(shardIdx), out);
+    } else {
+        executeRuns(shardIdx, ops, out);
     }
-    writeBatch(out);
 }
 
 /**
@@ -1109,16 +1153,18 @@ Server::executeBatchPerOp(std::vector<PendOp> &ops, int shardIdx,
 }
 
 /**
- * The end of a batch: one write per touched connection, then one clock
+ * The end of a pass: one write per touched connection, then one clock
  * read that closes every op's admission-to-response-written latency in
- * its server histogram. When slow-op tracing is on, an op that crossed
- * the threshold also records a phase breakdown into the global ring:
- * queueNs is admission to execution start; flushNs is the post-store
- * remainder (response formatting, the rest of the batch and the batch's
- * socket writes), i.e. execution-to-written minus the store call. The
- * members of one run share the run's ExecTiming: store/gate time is
- * attributed to each op of the run rather than divided, since each op
- * genuinely waited for the whole run.
+ * its server histogram and every batch's flush sample (execution start
+ * to the write that carries its responses). When slow-op tracing is on,
+ * an op that crossed the threshold also records a phase breakdown into
+ * the global ring: queueNs is admission to execution start; flushNs is
+ * the post-store remainder (response formatting, the rest of the pass
+ * and its socket writes), i.e. execution-to-written minus the store
+ * call. The members of one run share the run's ExecTiming: store/gate
+ * time is attributed to each op of the run rather than divided, since
+ * each op genuinely waited for the whole run. The pass's batches are
+ * released last.
  */
 void
 Server::writeBatch(BatchOut &out)
@@ -1134,6 +1180,8 @@ Server::writeBatch(BatchOut &out)
             std::chrono::duration_cast<std::chrono::nanoseconds>(d)
                 .count());
     };
+    for (const Clock::time_point start : out.batchStarts)
+        obs::recordNs(obs::Hist::kServerBatchFlushNs, ns(written - start));
     const std::uint64_t thresholdNs = ns(options_.slowOpThreshold);
     for (const BatchOut::Done &d : out.done) {
         const std::uint64_t totalNs = ns(written - d.op->admitted);
@@ -1147,6 +1195,12 @@ Server::writeBatch(BatchOut &out)
         obs::slowOps().record(d.label, d.t.shard, d.op->seq, totalNs,
                               queueNs, d.t.gateNs, d.t.storeNs, flushNs);
     }
+    out.conns.clear();
+    out.done.clear();
+    out.batchStarts.clear();
+    for (std::size_t i = 0; i < out.taken; ++i)
+        out.batches[i].clear();
+    out.taken = 0;
 }
 
 void

@@ -12,14 +12,23 @@
  *    remaining-counter context reassembling the single response when
  *    the last sub-op completes. Admission never touches a tree.
  *
- *  - *Execution* (executor threads): an executor that is free takes a
- *    shard's whole pending batch at once and runs it against the store
- *    — multiGet for the reads, installValueBatch for the writes. A
- *    batch is therefore whatever was admitted while the executor was
- *    busy: there is no size or age threshold, so an idle server adds
- *    no batching delay and a loaded one batches as widely as its load.
- *    The batch pays the store's one-gate-entry-per-shard cost for the
- *    whole group, which is where the server's throughput comes from.
+ *  - *Execution* (executor threads): an executor works in *passes*
+ *    over the shard queues. A pass takes each shard's whole pending
+ *    batch that no other executor has in flight and runs it against
+ *    the store — multiGet for the reads, installValueBatch for the
+ *    writes. A batch is therefore whatever was admitted while the
+ *    executor was busy: there is no size or age threshold, so an idle
+ *    server adds no batching delay and a loaded one batches as widely
+ *    as its load. The batch pays the store's one-gate-entry-per-shard
+ *    cost for the whole group, which is where the server's throughput
+ *    comes from. A shard whose epoch boundary holds or is draining its
+ *    gate (EpochGate::advancePending) is stepped around: its batch stays
+ *    queued and the pass serves the other shards, so a boundary stalls
+ *    only its own shard's requests. When every runnable batch waits on
+ *    a boundary the executor yields and passes again; it never blocks
+ *    in a gate it only looked at. The store calls still enter the gate
+ *    themselves (the write-backpressure hook is skipped for a thread
+ *    that already holds it).
  *
  * Batches remember the placement version they were grouped under: if a
  * migration commits between admission and flush (or is in flight at
@@ -28,14 +37,15 @@
  * construction. Scans execute per-op on executors (they take gates for
  * their whole duration and do not batch).
  *
- * Responses are appended to a per-connection output buffer. An executed
- * batch writes each connection it touched once, after its last store
- * call (MULTI responses and demoted per-op batches included); IO-thread
- * and misc-op responses are written as they are made. Short writes arm
- * EPOLLOUT on the connection's IO thread via an eventfd. Writes never
- * raise SIGPIPE: a client that resets with responses outstanding costs
- * its own connection, not the process. Ops hold the connection alive by
- * shared_ptr, so a client teardown mid-batch drops the responses but
+ * Responses are appended to a per-connection output buffer. A pass
+ * writes each connection it touched once, after its last store call —
+ * one send per connection per pass, however many batches, MULTI
+ * responses and demoted per-op batches fed it; IO-thread and misc-op
+ * responses are written as they are made. Short writes arm EPOLLOUT on
+ * the connection's IO thread via an eventfd. Writes never raise
+ * SIGPIPE: a client that resets with responses outstanding costs its
+ * own connection, not the process. Ops hold the connection alive by
+ * shared_ptr, so a client teardown mid-pass drops the responses but
  * never the executed ops — the store stays consistent.
  *
  * The server owns its store: the kCrash admin op (Options::allowCrash)
@@ -171,9 +181,9 @@ class Server
     void flushOut(Conn &conn);
     void completeMulti(const std::shared_ptr<MultiCtx> &ctx, BatchOut &out);
 
-    bool runPendingBatches();
+    bool runPendingBatches(BatchOut &out, bool &deferred);
     void executeBatch(unsigned shardIdx, std::vector<PendOp> &ops,
-                      std::uint64_t tableVersion);
+                      std::uint64_t tableVersion, BatchOut &out);
     void executeRuns(unsigned shardIdx, std::vector<PendOp> &ops,
                      BatchOut &out);
     void executeBatchPerOp(std::vector<PendOp> &ops, int shardIdx,

@@ -13,21 +13,14 @@
 namespace incll::service {
 
 EpochService::EpochService(store::ShardedStore &store, Options options)
-    : store_(store), options_(options)
+    : store_(store), options_(options),
+      // Fixed capacity, so throttle()'s lock-free path can index the
+      // position cache from any thread: an elastic store's member count
+      // can grow, but never beyond the manifest's membership cap (a hash
+      // store never changes its count, and may be larger).
+      byPos_(std::max(store.shardCount(), store::Manifest::kMaxMembers))
 {
     assert(options_.threads > 0);
-    // Fixed-capacity per-position state: an elastic store's member
-    // count can grow, but never beyond the manifest's membership cap (a
-    // hash store never changes its count, and may be larger).
-    // Allocating every slot up front means shards_ never resizes, so
-    // throttle()'s lock-free fast path can index it from any thread;
-    // slots at positions the store does not currently have are simply
-    // never scheduled (activeCount()).
-    const unsigned cap =
-        std::max(store_.shardCount(), store::Manifest::kMaxMembers);
-    shards_.reserve(cap);
-    for (unsigned i = 0; i < cap; ++i)
-        shards_.push_back(std::make_unique<ShardState>());
     // The hook is installed for the service's whole lifetime (throttle()
     // is a no-op while stopped): start()/stop() must be callable with
     // writers in flight, and swapping the store's std::function under a
@@ -43,23 +36,70 @@ EpochService::~EpochService()
     store_.setWriteThrottle(nullptr);
 }
 
-std::uint64_t
-EpochService::logBytes(unsigned shard) const
+EpochService::ShardState &
+EpochService::stateLocked(std::uint32_t poolId) const
 {
-    // Routed through the store's position-clamped accessor: a topology
-    // commit can shrink the member set between our sampling a position
-    // and using it, and the store answers 0 for a position it no longer
-    // has instead of faulting.
-    return store_.shardLogBytes(shard);
+    for (const auto &ss : states_)
+        if (ss->poolId == poolId)
+            return *ss;
+    // First sight of this pool (service start, or a member added since):
+    // its debt counts from now, and it is due one interval from now.
+    auto ss = std::make_unique<ShardState>(poolId);
+    ss->deadline = Clock::now() + options_.interval;
+    ss->bytesAtBoundary.store(store_.memberLogBytes(poolId),
+                              std::memory_order_relaxed);
+    states_.push_back(std::move(ss));
+    return *states_.back();
 }
 
-unsigned
-EpochService::activeCount() const
+EpochService::ShardState *
+EpochService::stateAt(unsigned pos) const
 {
-    // Positions the store currently has; safe from any thread with or
-    // without mu_ (shards_ is fixed-size, the store count is atomic).
-    return std::min<unsigned>(static_cast<unsigned>(shards_.size()),
-                              store_.shardCount());
+    const std::uint32_t id = store_.shardPoolId(pos);
+    if (id == store::ShardedStore::kNoPool || pos >= byPos_.size())
+        return nullptr;
+    ShardState *ss = byPos_[pos].load(std::memory_order_acquire);
+    if (ss != nullptr && ss->poolId == id)
+        return ss;
+    // A commit re-numbered this position (or it is new): resolve the
+    // member's own state once, under the lock.
+    std::lock_guard lk(mu_);
+    ss = &stateLocked(id);
+    byPos_[pos].store(ss, std::memory_order_release);
+    return ss;
+}
+
+void
+EpochService::syncMembers()
+{
+    // One snapshot of the member set: the topology can grow and shrink
+    // at runtime, and re-reading it every pass is what makes the
+    // service follow it — a fresh member is scheduled from here on, a
+    // merged-away one simply drops out.
+    const std::vector<std::uint32_t> ids = store_.memberPoolIds();
+    members_.clear();
+    for (unsigned pos = 0; pos < ids.size(); ++pos) {
+        ShardState *ss = &stateLocked(ids[pos]);
+        members_.push_back(ss);
+        if (pos < byPos_.size())
+            byPos_[pos].store(ss, std::memory_order_release);
+    }
+}
+
+bool
+EpochService::isMember(const ShardState &ss) const
+{
+    return std::find(members_.begin(), members_.end(), &ss) !=
+           members_.end();
+}
+
+std::uint64_t
+EpochService::debtOf(const ShardState &ss) const
+{
+    const std::uint64_t atBoundary =
+        ss.bytesAtBoundary.load(std::memory_order_relaxed);
+    const std::uint64_t now = store_.memberLogBytes(ss.poolId);
+    return now > atBoundary ? now - atBoundary : 0;
 }
 
 void
@@ -70,19 +110,20 @@ EpochService::start()
         return;
     stopFlag_ = false;
     const auto firstDeadline = Clock::now() + options_.interval;
-    for (unsigned i = 0; i < shards_.size(); ++i) {
-        ShardState &ss = *shards_[i];
-        ss.deadline = firstDeadline;
-        ss.urgent = false;
-        ss.inProgress = false;
-        ss.bytesAtBoundary.store(logBytes(i), std::memory_order_relaxed);
-        ss.debtKicked.store(false, std::memory_order_relaxed);
+    syncMembers();
+    for (ShardState *ss : members_) {
+        ss->deadline = firstDeadline;
+        ss->urgent = false;
+        ss->inProgress = false;
+        ss->bytesAtBoundary.store(store_.memberLogBytes(ss->poolId),
+                                  std::memory_order_relaxed);
+        ss->debtKicked.store(false, std::memory_order_relaxed);
     }
     nextSample_ = firstDeadline - options_.interval + options_.sampleInterval;
     running_.store(true, std::memory_order_release);
     // At most one service thread per shard can ever be busy.
     const unsigned n = std::min<unsigned>(
-        options_.threads, static_cast<unsigned>(shards_.size()));
+        options_.threads, static_cast<unsigned>(byPos_.size()));
     pool_.reserve(n);
     for (unsigned t = 0; t < n; ++t)
         pool_.emplace_back([this] { workerLoop(); });
@@ -127,24 +168,18 @@ EpochService::workerLoop()
             lk.lock();
             continue;
         }
-        int pick = -1;
+        ShardState *pick = nullptr;
         bool pickUrgent = false;
         auto earliest = Clock::time_point::max();
-        // Only positions the store currently has are schedulable — the
-        // member set changes at topology commits, and re-reading the
-        // count every pass is what makes the service follow them: a
-        // fresh shard starts being advanced on its slot's (stale but
-        // harmless) deadline, a merged-away position simply stops.
-        const unsigned active = activeCount();
+        syncMembers();
         // Urgent shards first (backpressure and explicit requests have
         // a caller blocked on them), then the most overdue deadline —
         // the latter only once this thread's pacing allows.
-        for (unsigned i = 0; i < active; ++i) {
-            ShardState &ss = *shards_[i];
-            if (ss.inProgress)
+        for (ShardState *ss : members_) {
+            if (ss->inProgress)
                 continue;
-            if (ss.urgent) {
-                pick = static_cast<int>(i);
+            if (ss->urgent) {
+                pick = ss;
                 pickUrgent = true;
                 break;
             }
@@ -153,16 +188,16 @@ EpochService::workerLoop()
             // marked in progress nor counted as an advance: a barrier
             // adds one to its target for an advance in flight, and must
             // not end up waiting on a scheduled one that is skipped.
-            if (ss.deadline <= now && store_.skipIdleShardEpoch(i)) {
-                ss.deadline = now + options_.interval;
-                ss.counters.idleSkips += 1;
+            if (ss->deadline <= now && store_.skipIdleMemberEpoch(ss->poolId)) {
+                ss->deadline = now + options_.interval;
+                ss->counters.idleSkips += 1;
             }
-            if (now >= eligible && ss.deadline <= now &&
-                (pick < 0 || ss.deadline < shards_[pick]->deadline))
-                pick = static_cast<int>(i);
-            earliest = std::min(earliest, ss.deadline);
+            if (now >= eligible && ss->deadline <= now &&
+                (pick == nullptr || ss->deadline < pick->deadline))
+                pick = ss;
+            earliest = std::min(earliest, ss->deadline);
         }
-        if (pick < 0) {
+        if (pick == nullptr) {
             // Sleep to the next actionable instant: this thread's
             // pacing gate or the earliest deadline, whichever is later
             // of the pair that applies. An urgent request notifies the
@@ -179,34 +214,36 @@ EpochService::workerLoop()
             continue;
         }
 
-        ShardState &ss = *shards_[pick];
+        ShardState &ss = *pick;
         ss.inProgress = true;
         ss.urgent = false;
         lk.unlock();
 
         // The boundary itself: quiesce the shard's gate, flush, open the
         // next epoch, truncate its log — all off the request path. Other
-        // shards keep serving throughout.
+        // shards keep serving throughout. Addressed by pool id: a commit
+        // since the pick may have re-numbered every position.
         const auto t0 = Clock::now();
-        store_.advanceShardEpoch(static_cast<unsigned>(pick));
+        const bool advanced = store_.advanceMemberEpoch(ss.poolId);
         const auto tEnd = Clock::now();
         const auto ns = static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(tEnd - t0)
                 .count());
-        const std::uint64_t bytesNow =
-            logBytes(static_cast<unsigned>(pick));
+        const std::uint64_t bytesNow = store_.memberLogBytes(ss.poolId);
         if (!pickUrgent)
             eligible = tEnd + std::chrono::nanoseconds(static_cast<
                 std::int64_t>(static_cast<double>(ns) *
                               (1.0 - kMaxDutyCycle) / kMaxDutyCycle));
 
         lk.lock();
-        ss.bytesAtBoundary.store(bytesNow, std::memory_order_relaxed);
-        ss.debtKicked.store(false, std::memory_order_relaxed);
-        ss.counters.advances += 1;
-        ss.counters.boundaryNs += ns;
         ss.inProgress = false;
-        ss.deadline = tEnd + options_.interval;
+        if (advanced) {
+            ss.bytesAtBoundary.store(bytesNow, std::memory_order_relaxed);
+            ss.debtKicked.store(false, std::memory_order_relaxed);
+            ss.counters.advances += 1;
+            ss.counters.boundaryNs += ns;
+            ss.deadline = tEnd + options_.interval;
+        }
         doneCv_.notify_all();
     }
 }
@@ -214,11 +251,11 @@ EpochService::workerLoop()
 void
 EpochService::requestAdvance(unsigned shard)
 {
+    ShardState *ss = stateAt(shard);
     std::lock_guard lk(mu_);
-    if (!running_.load(std::memory_order_relaxed) ||
-        shard >= shards_.size())
+    if (!running_.load(std::memory_order_relaxed) || ss == nullptr)
         return;
-    shards_[shard]->urgent = true;
+    ss->urgent = true;
     workCv_.notify_all();
 }
 
@@ -231,27 +268,28 @@ EpochService::advanceAllAndWait()
         store_.advanceEpoch();
         return;
     }
-    const unsigned active = activeCount();
-    std::vector<std::uint64_t> target(active);
-    for (unsigned i = 0; i < active; ++i) {
+    syncMembers();
+    std::vector<std::pair<ShardState *, std::uint64_t>> target;
+    target.reserve(members_.size());
+    for (ShardState *ss : members_) {
         // An advance already in flight may have flushed before this
         // call's writes landed, so it does not count as the barrier
         // boundary — require one more full advance after it.
-        target[i] = shards_[i]->counters.advances + 1 +
-                    (shards_[i]->inProgress ? 1 : 0);
-        shards_[i]->urgent = true;
+        target.emplace_back(ss, ss->counters.advances + 1 +
+                                    (ss->inProgress ? 1 : 0));
+        ss->urgent = true;
     }
     workCv_.notify_all();
     bool complete = false;
     doneCv_.wait(lk, [&] {
         if (stopFlag_)
             return true;
-        // A position merged away mid-barrier stops being schedulable
-        // (and has no shard left to checkpoint): drop it from the wait
-        // rather than hang on an advance that can never run.
-        const unsigned act = activeCount();
-        for (unsigned i = 0; i < std::min(active, act); ++i)
-            if (shards_[i]->counters.advances < target[i])
+        // A shard merged away mid-barrier stops being schedulable (and
+        // has nothing left to checkpoint): drop it from the wait rather
+        // than hang on an advance that can never run.
+        syncMembers();
+        for (const auto &[ss, want] : target)
+            if (ss->counters.advances < want && isMember(*ss))
                 return false;
         complete = true;
         return true;
@@ -268,16 +306,16 @@ EpochService::advanceAllAndWait()
 void
 EpochService::advanceShardAndWait(unsigned shard)
 {
+    ShardState *ssp = stateAt(shard);
     std::unique_lock lk(mu_);
-    if (!running_.load(std::memory_order_relaxed) ||
-        shard >= activeCount()) {
+    if (!running_.load(std::memory_order_relaxed) || ssp == nullptr) {
         lk.unlock();
         // Position-clamped: a no-op when the topology shrank under the
         // caller (there is no shard left to checkpoint at @p shard).
         store_.advanceShardEpoch(shard);
         return;
     }
-    ShardState &ss = *shards_[shard];
+    ShardState &ss = *ssp;
     // As in advanceAllAndWait: an advance already in flight may have
     // flushed before this call's writes landed, so it does not count as
     // the barrier boundary — require one more full advance after it.
@@ -289,46 +327,43 @@ EpochService::advanceShardAndWait(unsigned shard)
     doneCv_.wait(lk, [&] {
         if (stopFlag_)
             return true;
-        if (shard >= activeCount()) // merged away mid-wait: nothing to do
-            return true;
         if (ss.counters.advances >= target) {
             complete = true;
             return true;
         }
-        return false;
+        syncMembers();
+        return !isMember(ss); // merged away mid-wait: nothing to do
     });
     if (!complete) {
         // stop() interrupted the barrier; checkpoint inline rather than
-        // return a false success.
+        // return a false success (a no-op for a merged-away shard).
         lk.unlock();
-        store_.advanceShardEpoch(shard);
+        store_.advanceMemberEpoch(ss.poolId);
     }
 }
 
 std::uint64_t
 EpochService::logDebt(unsigned shard) const
 {
-    if (shard >= shards_.size())
-        return 0;
-    const std::uint64_t atBoundary =
-        shards_[shard]->bytesAtBoundary.load(std::memory_order_relaxed);
-    const std::uint64_t now = logBytes(shard);
-    return now > atBoundary ? now - atBoundary : 0;
+    const ShardState *ss = stateAt(shard);
+    return ss != nullptr ? debtOf(*ss) : 0;
 }
 
 void
 EpochService::throttle(unsigned shard)
 {
-    if (!running_.load(std::memory_order_acquire) ||
-        shard >= shards_.size())
+    if (!running_.load(std::memory_order_acquire))
         return;
-    const std::uint64_t debt = logDebt(shard);
+    ShardState *ssp = stateAt(shard);
+    if (ssp == nullptr)
+        return;
+    ShardState &ss = *ssp;
+    const std::uint64_t debt = debtOf(ss);
     // Adaptive debt kick: ask for an early boundary as soon as the debt
     // threshold trips — without blocking this writer. One kick per debt
     // episode (the flag clears at the next boundary), so the common case
-    // stays two relaxed loads and one atomic read.
+    // stays lock-free.
     if (options_.adaptiveDebtBytes != 0 && debt > options_.adaptiveDebtBytes) {
-        ShardState &ss = *shards_[shard];
         if (!ss.debtKicked.load(std::memory_order_relaxed) &&
             !ss.debtKicked.exchange(true, std::memory_order_acq_rel)) {
             {
@@ -348,7 +383,6 @@ EpochService::throttle(unsigned shard)
 
     const auto t0 = Clock::now();
     std::unique_lock lk(mu_);
-    ShardState &ss = *shards_[shard];
     if (stopFlag_)
         return;
     ss.counters.throttleStalls += 1;
@@ -357,7 +391,7 @@ EpochService::throttle(unsigned shard)
     doneCv_.wait(lk, [&] {
         if (stopFlag_)
             return true;
-        if (logDebt(shard) <= options_.maxLogBytesPerEpoch)
+        if (debtOf(ss) <= options_.maxLogBytesPerEpoch)
             return true;
         // Still over threshold (other writers refilled the log between
         // the boundary and this wake-up): re-arm the urgent flag — the
@@ -378,8 +412,9 @@ EpochService::throttle(unsigned shard)
 EpochService::ShardCounters
 EpochService::counters(unsigned shard) const
 {
+    const ShardState *ss = stateAt(shard);
     std::lock_guard lk(mu_);
-    return shards_[shard]->counters;
+    return ss != nullptr ? ss->counters : ShardCounters{};
 }
 
 EpochService::ShardCounters
@@ -387,7 +422,7 @@ EpochService::totalCounters() const
 {
     std::lock_guard lk(mu_);
     ShardCounters total;
-    for (const auto &ss : shards_) {
+    for (const auto &ss : states_) {
         total.advances += ss->counters.advances;
         total.boundaryNs += ss->counters.boundaryNs;
         total.throttleStalls += ss->counters.throttleStalls;

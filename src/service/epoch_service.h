@@ -17,8 +17,12 @@
  * It is the one epoch driver: the server, the benches' workload runs
  * and perfbench run their stores under it, and it follows topology
  * changes (a member added at runtime is scheduled from its commit on).
- * Direct advanceEpoch() calls remain for tests, recovery, explicit
- * checkpoints and the transition engine's commit points.
+ * The public calls name a shard by its current position; the state
+ * behind them (deadline, log baseline, counters) is kept per durable
+ * pool id, so a commit that re-numbers positions moves no shard onto
+ * another's baseline. Direct advanceEpoch() calls remain for tests,
+ * recovery, explicit checkpoints and the transition engine's commit
+ * points.
  *
  * Scheduling: each shard has a deadline (last boundary + interval) and
  * an urgent flag. Service threads pick whichever shard is due (urgent
@@ -190,26 +194,37 @@ class EpochService
      * Write backpressure for @p shard: if its log debt exceeds the
      * threshold, request an urgent advance and block until the boundary
      * completes (or the service stops). Cheap when under the threshold
-     * (two relaxed atomic loads). Must not be called while holding the
-     * shard's epoch gate.
+     * (no lock; the state lookup re-validates a cached position).
+     * Must not be called while holding the shard's epoch gate.
      */
     void throttle(unsigned shard);
 
     /** Current log bytes accumulated since @p shard's last boundary. */
     std::uint64_t logDebt(unsigned shard) const;
 
-    /** Snapshot of @p shard's service counters (monotonic since
-     *  construction; consistent — taken under the service lock). */
+    /** Snapshot of the service counters of the shard at position
+     *  @p shard (monotonic since the service first met it; consistent —
+     *  taken under the service lock); zero for a position the store
+     *  does not have. */
     ShardCounters counters(unsigned shard) const;
 
-    /** Sum of counters() over all shards, in one locked snapshot. */
+    /** Sum of counters() over every shard the service has driven,
+     *  merged-away ones included, in one locked snapshot. */
     ShardCounters totalCounters() const;
 
   private:
     using Clock = std::chrono::steady_clock;
 
+    /**
+     * One member's scheduling state, keyed by its durable pool id: a
+     * topology commit re-numbers positions, and the state (baseline,
+     * deadline, counters) must stay with the shard, not the position.
+     */
     struct ShardState
     {
+        explicit ShardState(std::uint32_t id) : poolId(id) {}
+
+        const std::uint32_t poolId;
         Clock::time_point deadline{};
         bool urgent = false;
         bool inProgress = false;
@@ -223,10 +238,17 @@ class EpochService
     };
 
     void workerLoop();
-    std::uint64_t logBytes(unsigned shard) const;
-    /** Positions the store currently has (the topology can grow and
-     *  shrink at runtime); shards_ itself is fixed-capacity. */
-    unsigned activeCount() const;
+    /** The state of pool @p poolId, created on first sight (under mu_). */
+    ShardState &stateLocked(std::uint32_t poolId) const;
+    /** The state of the member at position @p pos, or nullptr when the
+     *  store has no such position. Lock-free once the position's cache
+     *  entry names the member's pool. */
+    ShardState *stateAt(unsigned pos) const;
+    /** Refresh members_ and the position cache from the store's current
+     *  member set (under mu_). */
+    void syncMembers();
+    bool isMember(const ShardState &ss) const;
+    std::uint64_t debtOf(const ShardState &ss) const;
 
     store::ShardedStore &store_;
     const Options options_;
@@ -234,7 +256,21 @@ class EpochService
     mutable std::mutex mu_;
     std::condition_variable workCv_; ///< service threads wait here
     std::condition_variable doneCv_; ///< throttle()/advanceAllAndWait() wait here
-    std::vector<std::unique_ptr<ShardState>> shards_;
+    /**
+     * Every pool the service has met (under mu_). Never shrinks while
+     * the service lives, so a pointer read from byPos_ stays valid; a
+     * merged-away member's state simply stops being scheduled.
+     */
+    mutable std::vector<std::unique_ptr<ShardState>> states_;
+    /** Current members' states in position order (under mu_). */
+    std::vector<ShardState *> members_;
+    /**
+     * Position → state cache for the lock-free paths (throttle,
+     * logDebt). Fixed capacity; an entry is trusted only when its
+     * state's pool id matches the store's current pool id at that
+     * position, and re-resolved under mu_ otherwise.
+     */
+    mutable std::vector<std::atomic<ShardState *>> byPos_;
     std::vector<std::thread> pool_;
     Clock::time_point nextSample_{}; ///< obs sampler deadline (under mu_)
     bool stopFlag_ = false;

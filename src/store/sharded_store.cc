@@ -204,6 +204,25 @@ ShardedStore::advanceEpoch()
         s->tree().advanceEpoch();
 }
 
+std::uint32_t
+ShardedStore::shardPoolId(unsigned pos) const
+{
+    TopoGuard pin(*this);
+    const Topology &t = pin.topo();
+    return pos < t.count() ? t.shards[pos]->poolId() : kNoPool;
+}
+
+std::vector<std::uint32_t>
+ShardedStore::memberPoolIds() const
+{
+    TopoGuard pin(*this);
+    std::vector<std::uint32_t> ids;
+    ids.reserve(pin.topo().count());
+    for (const Shard *s : pin.topo().shards)
+        ids.push_back(s->poolId());
+    return ids;
+}
+
 void
 ShardedStore::advanceShardEpoch(unsigned pos)
 {
@@ -213,22 +232,31 @@ ShardedStore::advanceShardEpoch(unsigned pos)
         t.shards[pos]->tree().advanceEpoch();
 }
 
-std::uint64_t
-ShardedStore::shardLogBytes(unsigned pos) const
+bool
+ShardedStore::advanceMemberEpoch(std::uint32_t poolId)
 {
     TopoGuard pin(*this);
-    const Topology &t = pin.topo();
-    if (pos >= t.count())
-        return 0;
-    return t.shards[pos]->tree().log().bytesAppended();
+    Shard *s = memberWithPoolId(pin.topo(), poolId);
+    if (s == nullptr)
+        return false;
+    s->tree().advanceEpoch();
+    return true;
+}
+
+std::uint64_t
+ShardedStore::memberLogBytes(std::uint32_t poolId) const
+{
+    TopoGuard pin(*this);
+    Shard *s = memberWithPoolId(pin.topo(), poolId);
+    return s != nullptr ? s->tree().log().bytesAppended() : 0;
 }
 
 bool
-ShardedStore::skipIdleShardEpoch(unsigned pos)
+ShardedStore::skipIdleMemberEpoch(std::uint32_t poolId)
 {
     TopoGuard pin(*this);
-    const Topology &t = pin.topo();
-    return pos < t.count() && t.shards[pos]->tree().epochs().skipIfIdle();
+    Shard *s = memberWithPoolId(pin.topo(), poolId);
+    return s != nullptr && s->tree().epochs().skipIfIdle();
 }
 
 std::uint64_t

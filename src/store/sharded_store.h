@@ -255,16 +255,19 @@ class ShardedStore
         return *topology_.load(std::memory_order_acquire)->shards[i];
     }
 
-    /** Durable pool id of the shard at position @p pos. Stable across
-     *  topology changes (positions are not); obs series and intent
-     *  records name shards by it. */
-    std::uint32_t
-    shardPoolId(unsigned pos) const
-    {
-        return topology_.load(std::memory_order_acquire)
-            ->shards[pos]
-            ->poolId();
-    }
+    /** shardPoolId() of a position the store does not have. */
+    static constexpr std::uint32_t kNoPool = UINT32_MAX;
+
+    /** Durable pool id of the shard at position @p pos, or kNoPool when
+     *  @p pos is out of range (the topology shrank since the caller
+     *  sampled it). Stable across topology changes (positions are
+     *  not); obs series, intent records and the EpochService's
+     *  per-shard state name shards by it. */
+    std::uint32_t shardPoolId(unsigned pos) const;
+
+    /** Pool ids of the member shards in position order, read from one
+     *  snapshot. */
+    std::vector<std::uint32_t> memberPoolIds() const;
 
     /** Pool ids of owned shards that are NOT in the routing topology —
      *  merged-out shards awaiting retireShard(). */
@@ -922,21 +925,45 @@ class ShardedStore
     /**
      * Checkpoint the member shard at position @p pos, inline; a no-op
      * when @p pos is out of range (the topology shrank since the
-     * caller sampled it — the EpochService races commits by design).
+     * caller sampled it).
      */
     void advanceShardEpoch(unsigned pos);
 
-    /** Bytes appended to the external log of the member at @p pos;
-     *  0 when @p pos is out of range (see advanceShardEpoch). */
-    std::uint64_t shardLogBytes(unsigned pos) const;
+    /**
+     * True while the member at @p pos has an epoch boundary holding or
+     * draining its gate (EpochGate::advancePending); false when @p pos
+     * is out of range. A scheduling hint that enters no gate: the
+     * boundary may begin or end right after it returns.
+     */
+    bool
+    shardAdvancePending(unsigned pos) const
+    {
+        TopoGuard pin(*this);
+        const Topology &t = pin.topo();
+        return pos < t.count() && gateOf(*t.shards[pos]).advancePending();
+    }
+
+    // The EpochService's maintenance calls name a member by durable
+    // pool id, not position: a topology commit re-numbers positions
+    // between the service picking a shard and acting on it, and a pool
+    // id always names the same shard. Each is a no-op (false, 0) when
+    // no member has the id any more (merged away).
+
+    /** Checkpoint the member with pool id @p poolId, inline; false when
+     *  there is none. */
+    bool advanceMemberEpoch(std::uint32_t poolId);
+
+    /** Bytes appended to the external log of the member with pool id
+     *  @p poolId. */
+    std::uint64_t memberLogBytes(std::uint32_t poolId) const;
 
     /**
-     * Elide the scheduled boundary of the member at @p pos when its
-     * open epoch took no durable store (EpochManager::skipIfIdle):
-     * true when skipped, false when the boundary must run or @p pos is
-     * out of range (see advanceShardEpoch).
+     * Elide the scheduled boundary of the member with pool id
+     * @p poolId when its open epoch took no durable store
+     * (EpochManager::skipIfIdle): true when skipped, false when the
+     * boundary must run or there is no such member.
      */
-    bool skipIdleShardEpoch(unsigned pos);
+    bool skipIdleMemberEpoch(std::uint32_t poolId);
 
     // -- recovery / teardown --------------------------------------------
 
@@ -1105,6 +1132,20 @@ class ShardedStore
     {
         const Topology *t = topology_.load(std::memory_order_acquire);
         return t->shards[t->route(key)];
+    }
+
+    /** The member of @p t with durable pool id @p poolId, or nullptr.
+     *  A store that never changed its member set keeps pool id ==
+     *  position, so that slot is tried first. */
+    static Shard *
+    memberWithPoolId(const Topology &t, std::uint32_t poolId)
+    {
+        if (poolId < t.count() && t.shards[poolId]->poolId() == poolId)
+            return t.shards[poolId];
+        for (Shard *s : t.shards)
+            if (s->poolId() == poolId)
+                return s;
+        return nullptr;
     }
 
     /** True iff a migration involving shard @p sh is in flight — the

@@ -191,7 +191,7 @@ ShardedStore::retireShard(std::uint32_t poolId)
     // NEW references to it; the only live paths that may still touch it
     // are readers pinning a retired routing snapshot (the current
     // snapshot never references an unrouted shard) — an EpochService
-    // advance among them, since advanceShardEpoch holds a TopoGuard
+    // advance among them, since advanceMemberEpoch holds a TopoGuard
     // across the boundary. Wait those out — the table-epoch grace
     // period — and the shard is unreachable.
     res.graceNs = drainRetiredPins(

@@ -7,7 +7,8 @@
  * when the crash lands during an asynchronous boundary, idle-shard
  * elision (every durable write marks its epoch, and a shard whose
  * epoch was never marked skips its scheduled boundary without losing
- * a write), and the member set changing under the running service.
+ * a write), and the member set changing under the running service
+ * (per-shard state follows the shard's pool id across re-numbering).
  */
 #include <gtest/gtest.h>
 
@@ -879,6 +880,54 @@ TEST(EpochServiceTopology, FollowsAddedMemberAndRetiresMergedOne)
         });
     EXPECT_EQ(n, model.size());
     EXPECT_EQ(it, model.end());
+}
+
+TEST(EpochServiceTopology, MovedMemberKeepsItsOwnDebtBaseline)
+{
+    // The service's per-shard state follows the shard, not its
+    // position: shard 1 commits ~1 MB of log into the service's
+    // baseline, then an add re-numbers it to position 2. Its debt
+    // there must be its own (0), not its log measured against the
+    // baseline position 2 had before.
+    ShardedStore::Options o = directOptions(2);
+    o.config.placement = store::PlacementKind::kRange;
+    ShardedStore st(o);
+    const std::uint64_t topBit = std::uint64_t{1} << 63;
+    for (std::uint64_t i = 0; i < 2000; ++i) {
+        st.put(mt::u64Key(i), tag(i + 1));
+        st.put(mt::u64Key(topBit | i), tag(i + 1));
+    }
+    // Re-updates in a later epoch than the inserts exhaust each leaf's
+    // value InCLLs and log whole nodes (as in the backpressure test).
+    std::uint64_t logged = 0;
+    for (std::uint64_t round = 1; logged < (1u << 20) && round < 1000;
+         ++round) {
+        st.advanceEpoch();
+        for (std::uint64_t rep = 0; rep < 3; ++rep)
+            for (std::uint64_t i = 0; i < 2000; ++i)
+                st.put(mt::u64Key(topBit | i), tag(round * 4 + rep + i));
+        logged = st.shard(1).tree().log().bytesAppended();
+    }
+    ASSERT_GE(logged, 1u << 20);
+    ASSERT_EQ(st.shard(0).tree().log().bytesAppended(), 0u);
+
+    EpochService::Options so;
+    so.threads = 1;
+    so.interval = std::chrono::hours(1); // no scheduled boundary runs
+    EpochService svc(st, so);
+    svc.start(); // the baseline: every member's log bytes now
+    ASSERT_EQ(svc.logDebt(1), 0u);
+
+    const store::MoveResult added =
+        st.addShard(0, mt::u64Key(std::uint64_t{1} << 62));
+    ASSERT_TRUE(added.completed);
+    ASSERT_EQ(st.shardCount(), 3u);
+    ASSERT_EQ(st.shardPoolId(2), 1u) << "the written shard did not move";
+    EXPECT_EQ(svc.logDebt(2), 0u)
+        << "position 2 read its log against another shard's baseline";
+    EXPECT_LT(svc.logDebt(1), logged)
+        << "the added member read the moved shard's log";
+    svc.stop();
 }
 
 } // namespace

@@ -11,7 +11,9 @@
  * concurrent clients checked against std::map oracles over disjoint
  * key ranges, pipelined responses beyond the socket buffers (the
  * EPOLLOUT path under coalesced batch writes), the crash admin op
- * (crash-cycle + recovery over the wire), the migration regression: a
+ * (crash-cycle + recovery over the wire), a shard's epoch boundary
+ * stalling only that shard (other shards answered at once, per-shard
+ * order kept across the deferred batch), the migration regression: a
  * batch executed while its placement snapshot is stale or a migration
  * is in flight must demote to per-op routing, never serve through the
  * stale table — the slow-op phases of batched ops, and the kStats
@@ -758,6 +760,140 @@ TEST(ServerBackpressure, PipelinedGetsBeyondSocketBuffers)
     }
 
     ycsb::destroyWithValues(server.store());
+}
+
+/**
+ * A one-executor server over 4 hash shards whose shard 0 is in a long
+ * epoch boundary: one preloaded key per shard (key i holds valueFor(i)),
+ * then shard 0's emulated wbinvd stretched to 300 ms and its advance
+ * started on a thread. The constructor returns once shard 0's gate
+ * reports the advance pending, i.e. while the boundary holds the gate.
+ */
+class BoundaryRig
+{
+  public:
+    static constexpr std::uint64_t kWbinvdNs = 300'000'000;
+
+    BoundaryRig()
+        : server_(std::make_unique<store::ShardedStore>(
+                      serverStoreOptions(4)),
+                  store::StoreConfig{}, oneExecutor())
+    {
+        server_.start();
+        client_ = std::make_unique<Client>(server_.port());
+        for (std::uint64_t rank = 0; keys_.size() < 4; ++rank) {
+            const std::string k = key(rank);
+            if (server_.store().shardOf(k) != keys_.size())
+                continue;
+            const std::uint64_t shard = keys_.size();
+            EXPECT_EQ(client_->roundTrip(Op::kPut, k, valueFor(shard), rank)
+                          .status(),
+                      Status::kOk);
+            keys_.push_back(k);
+        }
+        server_.store().shard(0).pool().latency().wbinvdNs = kWbinvdNs;
+        advancer_ = std::thread([this] {
+            server_.store().advanceShardEpoch(0);
+        });
+        const auto giveUp =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!server_.store().shardAdvancePending(0) &&
+               std::chrono::steady_clock::now() < giveUp)
+            std::this_thread::yield();
+        EXPECT_TRUE(server_.store().shardAdvancePending(0));
+    }
+
+    ~BoundaryRig()
+    {
+        advancer_.join();
+        server_.store().shard(0).pool().latency().wbinvdNs = 0;
+        client_.reset();
+        ycsb::destroyWithValues(server_.store());
+    }
+
+    Client &client() { return *client_; }
+
+    /** The preloaded key of shard @p shard. */
+    const std::string &keyOf(unsigned shard) const { return keys_[shard]; }
+
+  private:
+    static Server::Options
+    oneExecutor()
+    {
+        Server::Options o = quickServerOptions();
+        o.executorThreads = 1;
+        return o;
+    }
+
+    Server server_;
+    std::unique_ptr<Client> client_;
+    std::vector<std::string> keys_;
+    std::thread advancer_;
+};
+
+/**
+ * A shard's boundary stalls only that shard: while shard 0's 300-ms
+ * boundary holds its gate, GETs for shards 1–3 pipelined behind a
+ * shard-0 GET are answered at once, and the shard-0 GET is answered,
+ * with its value, once the boundary ends. An executor that runs the
+ * queues in order and blocks in shard 0's gate answers nothing for
+ * ~300 ms.
+ */
+TEST(ServerBoundary, OtherShardsServedDuringAShardBoundary)
+{
+    BoundaryRig rig;
+    Client &c = rig.client();
+    const auto sent = std::chrono::steady_clock::now();
+    for (unsigned shard = 0; shard < 4; ++shard)
+        c.sendReq(Op::kGet, rig.keyOf(shard), {}, shard);
+    for (unsigned n = 0; n < 4; ++n) {
+        Resp r;
+        ASSERT_TRUE(c.recvResp(r));
+        const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                            std::chrono::steady_clock::now() - sent)
+                            .count();
+        ASSERT_EQ(r.status(), Status::kOk) << "seq " << r.h.seq;
+        EXPECT_EQ(r.payload, valueFor(r.h.seq)) << "seq " << r.h.seq;
+        if (n < 3) {
+            EXPECT_NE(r.h.seq, 0u)
+                << "shard 0's GET answered before other shards'";
+            EXPECT_LT(ms, 100) << "shard " << r.h.seq
+                               << " waited on shard 0's boundary";
+        } else {
+            EXPECT_EQ(r.h.seq, 0u);
+            EXPECT_GE(ms, 100) << "shard 0's GET beat its own boundary";
+        }
+    }
+}
+
+/**
+ * Per-shard order survives a skipped batch: a PUT then a GET of one
+ * shard-0 key, interleaved with other shards' GETs, both admitted while
+ * shard 0's boundary runs. Whether they land in one deferred batch or
+ * two, the GET must read the PUT's value.
+ */
+TEST(ServerBoundary, SkippedShardKeepsItsAdmissionOrder)
+{
+    BoundaryRig rig;
+    Client &c = rig.client();
+    c.sendReq(Op::kGet, rig.keyOf(1), {}, 1);
+    c.sendReq(Op::kPut, rig.keyOf(0), valueFor(77), 10);
+    c.sendReq(Op::kGet, rig.keyOf(2), {}, 2);
+    c.sendReq(Op::kGet, rig.keyOf(0), {}, 11);
+    c.sendReq(Op::kGet, rig.keyOf(3), {}, 3);
+    std::map<std::uint64_t, Resp> got;
+    for (unsigned n = 0; n < 5; ++n) {
+        Resp r;
+        ASSERT_TRUE(c.recvResp(r));
+        ASSERT_EQ(r.status(), Status::kOk) << "seq " << r.h.seq;
+        EXPECT_FALSE(got.contains(r.h.seq)) << "seq " << r.h.seq;
+        got[r.h.seq] = r;
+    }
+    for (std::uint64_t shard = 1; shard < 4; ++shard)
+        EXPECT_EQ(got[shard].payload, valueFor(shard)) << "shard " << shard;
+    EXPECT_EQ(got[10].h.flags, 0) << "PUT of a preloaded key inserted";
+    EXPECT_EQ(got[11].payload, valueFor(77))
+        << "GET after PUT read the value from before it";
 }
 
 TEST(ServerCrash, CrashCycleOverTheWireRecovers)
