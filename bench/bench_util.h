@@ -94,7 +94,7 @@ struct Params
      * closer to the paper's operating point (see EXPERIMENTS.md).
      */
     std::chrono::milliseconds epochInterval{16};
-    std::uint64_t wbinvdNs = 1380000;
+    std::uint64_t wbinvdNs = nvm::kPaperWbinvdNs;
 
     static Params
     parse(int argc, char **argv)

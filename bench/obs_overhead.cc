@@ -1,17 +1,17 @@
 /**
  * @file
  * Observability hot-path cost: the contended baseline the per-thread
- * registry slabs replaced, measured directly.
+ * counter slabs replaced, measured directly.
  *
  * Two phases, same work (each of T threads bumps its *own* counter N
  * times — no logical sharing at all):
  *
  *  - shared_atomics: counters live in one contiguous atomic array, the
- *    pre-registry StatSet layout. Distinct counters share cache lines,
- *    so every add bounces a line between cores — pure false sharing.
- *  - registry: the same adds through the StatSet facade, which lands
- *    them in per-thread 64-byte-aligned slabs (obs::Registry). No line
- *    is ever written by two threads.
+ *    original StatSet layout. Distinct counters share cache lines, so
+ *    every add bounces a line between cores — pure false sharing.
+ *  - registry: the same adds through StatSet, which lands them in
+ *    per-thread 64-byte-aligned slabs. No line is ever written by two
+ *    threads.
  *
  * The printed/JSON ns-per-add pair is the satellite acceptance evidence
  * for the false-sharing fix; the registry number is also the absolute
@@ -60,9 +60,9 @@ runShared(unsigned threads, std::uint64_t opsPerThread)
 }
 
 double
-runRegistry(unsigned threads, std::uint64_t opsPerThread)
+runSlabs(unsigned threads, std::uint64_t opsPerThread)
 {
-    StatSet stats; // private registry: the measured object, isolated
+    StatSet stats; // local set: the measured object, isolated
     const auto start = Clock::now();
     std::vector<std::thread> pool;
     for (unsigned t = 0; t < threads; ++t) {
@@ -104,7 +104,7 @@ main(int argc, char **argv)
 
     bench::JsonReport report(jsonPath, "obs_overhead");
     const double sharedNs = runShared(threads, opsPerThread);
-    const double registryNs = runRegistry(threads, opsPerThread);
+    const double registryNs = runSlabs(threads, opsPerThread);
     std::printf("# counter add cost, %u threads x %llu adds\n", threads,
                 static_cast<unsigned long long>(opsPerThread));
     std::printf("shared_atomics %8.2f ns/add (adjacent lines, the old "

@@ -91,7 +91,7 @@ main(int argc, char **argv)
             o.poolBytesPerShard = (std::size_t{3} << 30) / shards;
             store::ShardedStore incllTree(o);
             incllTree.forEachShard([](store::Shard &s) {
-                s.pool().latency().wbinvdNs = 1380000; // 1.38 ms (§6.2)
+                s.pool().latency().wbinvdNs = nvm::kPaperWbinvdNs;
             });
             ycsb::preload(incllTree, numKeys);
             service::EpochService epochs(incllTree, {});

@@ -49,15 +49,15 @@ if [[ "${1:-}" == "server" ]]; then
   # while the in-process baseline keeps the whole core, so the reported
   # wire_fraction there understates multi-core reality.
   # Observability is on for the bench run: store-level op histograms
-  # (--record-op-latency), slow-op tracing at a generous threshold, and
-  # the periodic counter-delta sampler. The loadgen's --stats probes
-  # then validate the kStats exposition mid-load and fold the
-  # server-side percentiles into BENCH_server.json.
+  # (--record-op-latency) and slow-op tracing at a generous threshold.
+  # The loadgen's --stats probes then validate the kStats exposition
+  # mid-load and fold the server-side percentiles into
+  # BENCH_server.json.
   srv_keys=50000
   "$builddir/incll_server" --port 0 --shards 4 --keys "$srv_keys" \
       --io-threads 1 --exec-threads 1 \
       --adaptive-debt-mb 64 \
-      --record-op-latency --slow-op-us 500 --stats-sample-ms 100 \
+      --record-op-latency --slow-op-us 500 \
       > "$outdir/server.out" 2> "$outdir/server.err" &
   srv_pid=$!
   trap 'kill "$srv_pid" 2>/dev/null || true' EXIT

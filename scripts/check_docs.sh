@@ -87,7 +87,7 @@ check_roster bench/bench_util.h \
 check_roster src/server/main.cc \
   --port --shards --io-threads --exec-threads \
   --allow-crash \
-  --slow-op-us --stats-sample-ms --record-op-latency
+  --slow-op-us --record-op-latency
 check_roster bench/loadgen.cc \
   --connections --pipeline --rate --multi --slo-us --baseline \
   --crash-drill --stats
@@ -97,12 +97,20 @@ check_roster bench/loadgen.cc \
 # (statName in src/common/stats.cc) and histogram (histName in
 # src/obs/metrics.cc) must appear in EXPERIMENTS.md ("Reading the
 # metrics"), so a metric added to the code but never written up fails CI.
-metric_names="$(
+stat_names="$(
   sed -n 's/.*case Stat::[A-Za-z]*: *return "\([a-z0-9_]*\)";.*/\1/p' \
       src/common/stats.cc
+)"
+hist_names="$(
   sed -n 's/.*case Hist::[A-Za-z]*: *return "\([a-z0-9_]*\)";.*/\1/p' \
       src/obs/metrics.cc
 )"
+# An empty roster would pass vacuously: the tables must still be found.
+if [ -z "$stat_names" ] || [ -z "$hist_names" ]; then
+  echo "FAIL metric roster: no statName/histName table found"
+  fail=1
+fi
+metric_names="$stat_names $hist_names"
 for name in $metric_names; do
   if ! grep -q -- "$name" EXPERIMENTS.md; then
     echo "FAIL exported metric $name is not documented in EXPERIMENTS.md"

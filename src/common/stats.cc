@@ -1,10 +1,15 @@
 /**
  * @file
- * Event counter facade implementation (storage lives in obs::Registry).
+ * Event counter store: per-thread slabs and the labelled children.
  */
 #include "common/stats.h"
 
+#include <algorithm>
+#include <cstring>
+#include <map>
+#include <mutex>
 #include <sstream>
+#include <utility>
 
 namespace incll {
 
@@ -41,7 +46,6 @@ statName(Stat s)
       case Stat::kServerBatches:  return "server_batches";
       case Stat::kServerSends:    return "server_sends";
       case Stat::kServerBatchedOps: return "server_batched_ops";
-      case Stat::kServerBatchFallbacks: return "server_batch_fallbacks";
       case Stat::kServerCrashes:  return "server_crashes";
       case Stat::kServerStatsRequests: return "server_stats_requests";
       case Stat::kAllocFastPathHits: return "alloc_fast_path_hits";
@@ -54,48 +58,169 @@ statName(Stat s)
     return "unknown";
 }
 
-void
-StatSet::registerAll()
-{
-    // Registration order == enum order, so the global facade owns
-    // registry ids [0, kNumStats) and the exposition lists counters in
-    // the familiar statName() order.
-    for (unsigned i = 0; i < kNumStatsU; ++i)
-        ids_[i] = reg_->counter(statName(static_cast<Stat>(i)));
-}
+namespace detail {
+thread_local constinit StatsTlsCache statsTls;
+} // namespace detail
 
-StatSet::StatSet()
-    : owned_(std::make_unique<obs::Registry>()), reg_(owned_.get())
-{
-    registerAll();
-}
+namespace {
+constexpr unsigned kNumStatsU = static_cast<unsigned>(Stat::kNumStats);
+} // namespace
 
-StatSet::StatSet(obs::Registry &reg) : reg_(&reg)
+/** One thread's counters; 64-byte aligned so no two threads' hot
+ *  counters share a cache line (sizeof is a multiple of 64). */
+struct alignas(kCacheLineSize) StatSet::Slab
 {
-    registerAll();
+    std::atomic<std::uint64_t> v[kNumStatsU] = {};
+};
+static_assert(sizeof(StatSet::Slab) % kCacheLineSize == 0);
+static_assert(alignof(StatSet::Slab) == kCacheLineSize);
+
+struct StatSet::Core
+{
+    /** Process-unique generation; the TLS fast-path cache key. A
+     *  recycled Core allocation can never match a stale cache entry. */
+    static std::atomic<std::uint64_t> nextGen;
+    const std::uint64_t gen = nextGen.fetch_add(1, std::memory_order_relaxed);
+
+    mutable std::mutex mu;
+    std::vector<std::unique_ptr<Slab>> owned;
+    std::vector<Slab *> live;     ///< slabs of currently-running threads
+    std::vector<Slab *> freelist; ///< zeroed slabs of exited threads
+    std::uint64_t retired[kNumStatsU] = {};
+    /** (Stat, pool id) -> value; ordered, so a family's children are
+     *  contiguous and in id order. */
+    std::map<std::pair<unsigned, unsigned>, std::uint64_t> labelled;
+
+    /** Merged total of counter @p i. Caller holds mu. */
+    std::uint64_t
+    total(unsigned i) const
+    {
+        std::uint64_t v = retired[i];
+        for (const Slab *s : live)
+            v += s->v[i].load(std::memory_order_relaxed);
+        return v;
+    }
+
+    void
+    retireSlab(Slab *s)
+    {
+        std::lock_guard<std::mutex> lk(mu);
+        for (unsigned i = 0; i < kNumStatsU; ++i) {
+            retired[i] += s->v[i].load(std::memory_order_relaxed);
+            s->v[i].store(0, std::memory_order_relaxed);
+        }
+        live.erase(std::find(live.begin(), live.end(), s));
+        freelist.push_back(s);
+    }
+};
+
+std::atomic<std::uint64_t> StatSet::Core::nextGen{1};
+
+namespace {
+
+/** Per-thread list of (store core, slab) pairs. The destructor is the
+ *  thread-exit hook: fold each slab's values into its store so the
+ *  counts survive the thread, and recycle the slab. The weak_ptr makes
+ *  exit safe when a (test-local) StatSet died first. */
+struct TlsSlabs
+{
+    struct Entry
+    {
+        std::weak_ptr<StatSet::Core> core;
+        StatSet::Core *corePtr;
+        StatSet::Slab *slab;
+    };
+    std::vector<Entry> entries;
+
+    ~TlsSlabs()
+    {
+        for (Entry &e : entries)
+            if (auto c = e.core.lock())
+                c->retireSlab(e.slab);
+        detail::statsTls = {};
+    }
+};
+
+thread_local TlsSlabs tlsSlabs;
+
+} // namespace
+
+StatSet::StatSet() : core_(std::make_shared<Core>()), gen_(core_->gen) {}
+
+StatSet::~StatSet() = default;
+
+std::atomic<std::uint64_t> *
+StatSet::slabSlow()
+{
+    Core *c = core_.get();
+    for (TlsSlabs::Entry &e : tlsSlabs.entries) {
+        if (e.corePtr == c) {
+            detail::statsTls = {c->gen, e.slab->v};
+            return e.slab->v;
+        }
+    }
+    Slab *s;
+    {
+        std::lock_guard<std::mutex> lk(c->mu);
+        if (!c->freelist.empty()) {
+            s = c->freelist.back();
+            c->freelist.pop_back();
+        } else {
+            c->owned.push_back(std::make_unique<Slab>());
+            s = c->owned.back().get();
+        }
+        c->live.push_back(s);
+    }
+    tlsSlabs.entries.push_back({core_, c, s});
+    detail::statsTls = {c->gen, s->v};
+    return s->v;
 }
 
 void
 StatSet::addShard(Stat s, unsigned shard, std::uint64_t n)
 {
     add(s, n);
-    if (shard >= kMaxShardLabel)
-        return;
-    auto &cache = shardIds_[static_cast<unsigned>(s)][shard];
-    obs::CounterId idPlus1 = cache.load(std::memory_order_acquire);
-    if (idPlus1 == 0) {
-        const obs::CounterId id =
-            reg_->counter(statName(s), static_cast<int>(shard));
-        idPlus1 = id + 1;
-        cache.store(idPlus1, std::memory_order_release);
-    }
-    reg_->add(idPlus1 - 1, n);
+    std::lock_guard<std::mutex> lk(core_->mu);
+    core_->labelled[{static_cast<unsigned>(s), shard}] += n;
+}
+
+std::uint64_t
+StatSet::get(Stat s) const
+{
+    std::lock_guard<std::mutex> lk(core_->mu);
+    return core_->total(static_cast<unsigned>(s));
 }
 
 void
 StatSet::reset()
 {
-    reg_->resetCounters();
+    Core *c = core_.get();
+    std::lock_guard<std::mutex> lk(c->mu);
+    std::memset(c->retired, 0, sizeof(c->retired));
+    for (Slab *s : c->live)
+        for (unsigned i = 0; i < kNumStatsU; ++i)
+            s->v[i].store(0, std::memory_order_relaxed);
+    for (auto &[key, value] : c->labelled)
+        value = 0;
+}
+
+std::vector<CounterValue>
+StatSet::counters() const
+{
+    const Core *c = core_.get();
+    std::lock_guard<std::mutex> lk(c->mu);
+    std::vector<CounterValue> out;
+    out.reserve(kNumStatsU + c->labelled.size());
+    auto child = c->labelled.begin();
+    for (unsigned i = 0; i < kNumStatsU; ++i) {
+        const std::string_view name = statName(static_cast<Stat>(i));
+        out.push_back({name, -1, c->total(i)});
+        for (; child != c->labelled.end() && child->first.first == i;
+             ++child)
+            out.push_back(
+                {name, static_cast<int>(child->first.second), child->second});
+    }
+    return out;
 }
 
 std::string
@@ -113,7 +238,7 @@ StatSet::toString() const
 StatSet &
 globalStats()
 {
-    static StatSet stats(obs::registry());
+    static StatSet stats;
     return stats;
 }
 

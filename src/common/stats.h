@@ -1,6 +1,6 @@
 /**
  * @file
- * Lightweight event counters.
+ * Event counters: the one counter store of the process.
  *
  * The paper explains its overheads with hardware performance counters;
  * this reproduction exposes the analogous causal quantities — how many
@@ -8,24 +8,33 @@
  * how many nodes were externally logged, and how often the InCLLs were
  * used — via these counters (see DESIGN.md, substitutions table).
  *
- * Since the obs layer landed, StatSet is a compatibility facade over
- * obs::Registry: the Stat enum, add()/get()/reset()/toString() and
- * globalStats() keep their exact historical semantics, but the storage
- * behind them is the registry's per-thread cache-line-padded slabs, so
- * hot-path add() no longer bounces a shared cache line across threads
- * and the counters show up in the kStats wire exposition. addShard()
- * is the one new verb: it additionally attributes the increment to a
- * `name{shard="N"}` labeled child counter.
+ * A counter is named by its Stat; there is no other identity. Each
+ * thread adds into its own 64-byte-aligned slab of kNumStats slots, so a
+ * hot-path add() is one uncontended relaxed fetch_add on a line no other
+ * thread writes, and readers merge the slabs (plus the fold-in of exited
+ * threads) under a mutex on the cold read path. addShard() additionally
+ * attributes an increment to the `(Stat, pool id)` labelled child that
+ * the exposition renders as `name{shard="N"}`. Children live in one
+ * mutex-guarded ordered map with no cap: pool ids are never reused, and
+ * a retired pool's child stays at its last value. Only cold paths write
+ * them (epoch boundaries, migration commits, retires).
+ *
+ * Lifetime: a StatSet must outlive any thread actively recording into
+ * it. Threads that merely *exited* are safe in either order — slab
+ * retirement at thread exit goes through a weak_ptr to the store's
+ * core, so a thread outliving a (test-local) StatSet folds into nothing
+ * rather than into freed memory.
  */
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
-#include "obs/metrics.h"
+#include "common/compiler.h"
 
 namespace incll {
 
@@ -60,7 +69,6 @@ enum class Stat : unsigned {
     kServerBatches,     ///< shard batches flushed to the store
     kServerSends,       ///< send(2) calls on client sockets
     kServerBatchedOps,  ///< ops executed through flushed shard batches
-    kServerBatchFallbacks, ///< batches demoted to per-op routing (stale table)
     kServerCrashes,     ///< admin-triggered crash/recovery cycles served
     kServerStatsRequests, ///< kStats exposition requests served
     kAllocFastPathHits, ///< allocations served from a thread cache
@@ -74,72 +82,107 @@ enum class Stat : unsigned {
 /** Human-readable name for a counter. */
 const char *statName(Stat s);
 
+/** One merged counter value: a Stat's total or one labelled child. */
+struct CounterValue
+{
+    std::string_view name; ///< statName() of the family
+    int shard;             ///< pool id of a labelled child; -1 = total
+    std::uint64_t value;
+};
+
 /**
  * A set of relaxed counters. One global instance serves the whole
- * process; benchmarks snapshot/delta it around measured regions.
- *
- * A default-constructed StatSet owns a private obs::Registry, so local
- * instances (tests) start at zero and stay isolated, matching the
- * historical flat-array behavior. globalStats() binds to the shared
- * obs::registry(), which is what the kStats exposition serves.
+ * process; benchmarks snapshot/delta it around measured regions. A
+ * locally constructed StatSet starts at zero and stays isolated from
+ * the global one (tests, local counting).
  */
 class StatSet
 {
   public:
-    /** Private-registry instance (isolated; for tests/local counting). */
     StatSet();
-    /** Facade over an existing registry (what globalStats() uses). */
-    explicit StatSet(obs::Registry &reg);
-
+    ~StatSet();
     StatSet(const StatSet &) = delete;
     StatSet &operator=(const StatSet &) = delete;
 
-    void
+    /** Hot path: uncontended relaxed add on this thread's slab. */
+    INCLL_INLINE void
     add(Stat s, std::uint64_t n = 1)
     {
-        reg_->add(ids_[static_cast<unsigned>(s)], n);
+        slab()[static_cast<unsigned>(s)].fetch_add(
+            n, std::memory_order_relaxed);
     }
 
     /**
-     * add(), plus attribution to the `statName(s){shard="N"}` labeled
-     * child. Cold-path only (epoch boundaries, migrations, batch
-     * flushes): the child id is looked up lazily and cached.
+     * add(), plus attribution to the `(s, shard)` labelled child.
+     * Cold-path only: the child is updated under the store's mutex.
      */
     void addShard(Stat s, unsigned shard, std::uint64_t n = 1);
 
-    std::uint64_t
-    get(Stat s) const
-    {
-        return reg_->value(ids_[static_cast<unsigned>(s)]);
-    }
+    /** Merge-on-read total of @p s (live slabs + exited threads). */
+    std::uint64_t get(Stat s) const;
 
+    /** Zero every total and child (racy-lossy against concurrent adds;
+     *  a child seen before stays listed, at zero). */
     void reset();
 
-    /** Multi-line "name value" dump of all nonzero counters. */
+    /**
+     * Every counter in Stat order, each total followed by its labelled
+     * children in pool-id order — the exposition's family grouping.
+     */
+    std::vector<CounterValue> counters() const;
+
+    /** Multi-line "name value" dump of all nonzero totals. */
     std::string toString() const;
 
-    /** The registry this facade records into. */
-    obs::Registry &registry() { return *reg_; }
+    /**
+     * Address of the calling thread's slab (allocating it if needed) —
+     * lets tests assert slabs are cache-line-disjoint.
+     */
+    const void *debugThreadSlab() { return slab(); }
+
+    // Implementation types; public so the thread-exit hook (a
+    // namespace-scope thread_local in stats.cc) can name them.
+    struct Core;
+    struct Slab;
 
   private:
-    static constexpr unsigned kNumStatsU =
-        static_cast<unsigned>(Stat::kNumStats);
-    /** Labeled children beyond this shard id fall back to add(). */
-    static constexpr unsigned kMaxShardLabel = 64;
+    INCLL_INLINE std::atomic<std::uint64_t> *slab();
+    std::atomic<std::uint64_t> *slabSlow();
 
-    void registerAll();
-
-    std::unique_ptr<obs::Registry> owned_; ///< null for the facade ctor
-    obs::Registry *reg_;
-    obs::CounterId ids_[kNumStatsU];
-    /** Lazy cache of labeled-child ids; 0 = not yet looked up
-     *  (stored value is id + 1). */
-    std::array<std::array<std::atomic<obs::CounterId>, kMaxShardLabel>,
-               kNumStatsU>
-        shardIds_{};
+    std::shared_ptr<Core> core_;
+    std::uint64_t gen_; ///< == core_->gen; cached for the inline path
 };
 
-/** Process-wide counter instance. */
+/** Process-wide counter instance (what the kStats exposition serves). */
 StatSet &globalStats();
+
+namespace detail {
+/**
+ * Most-recently-used (StatSet generation, slab) pair for the calling
+ * thread. Keyed by a process-unique generation rather than the set's
+ * address so a recycled allocation can never match a stale entry.
+ */
+struct StatsTlsCache
+{
+    std::uint64_t gen = 0; ///< 0 never matches a live StatSet
+    std::atomic<std::uint64_t> *slab = nullptr;
+};
+// constinit: constant-initialised, so access needs no TLS init wrapper
+// (whose null-object call UBSan reports on a thread's first use).
+extern thread_local constinit StatsTlsCache statsTls;
+} // namespace detail
+
+INCLL_INLINE std::atomic<std::uint64_t> *
+StatSet::slab()
+{
+    // Name the TLS object directly rather than through a reference:
+    // UBSan null-checks a reference by testing the flags of the
+    // initial-exec `add` that forms the TLS address, and the linker
+    // may relax that `add` into a flag-less `lea`, so the check then
+    // reads stale flags and reports a null reference that is not there.
+    if (INCLL_LIKELY(detail::statsTls.gen == gen_))
+        return detail::statsTls.slab;
+    return slabSlow();
+}
 
 } // namespace incll

@@ -40,6 +40,7 @@
 #include "common/compiler.h"
 #include "common/pin_slots.h"
 #include "common/stats.h"
+#include "obs/metrics.h"
 
 namespace incll {
 

@@ -61,7 +61,6 @@ class DurableMasstree
         std::size_t logBufferBytes = ExternalLog::kDefaultBufferBytes;
         /** 0 = auto-size from std::thread::hardware_concurrency. */
         std::uint32_t allocArenas = 0;
-        std::size_t allocSlabBytes = 1u << 18;
         bool inCllEnabled = true; ///< false = the paper's LOGGING mode
     };
 

@@ -65,7 +65,7 @@ DurableMasstree::wire(nvm::Pool &pool, const Options &options, bool fresh)
                                          options.logBufferBytes);
     alloc_ = std::make_unique<DurableAllocator>(
         pool, *epochs_, &root_->allocStateOffset, fresh,
-        options.allocArenas, options.allocSlabBytes);
+        options.allocArenas);
 
     // The external log is logically discarded at every epoch boundary,
     // after the global flush made the logged nodes durable.

@@ -15,6 +15,9 @@
 
 namespace incll::nvm {
 
+/** The paper's measured global cache flush: wbinvd at 1.38 ms (§6.2). */
+inline constexpr std::uint64_t kPaperWbinvdNs = 1380000;
+
 /** Busy-wait for approximately @p ns nanoseconds. */
 void spinNs(std::uint64_t ns);
 
@@ -25,9 +28,9 @@ struct LatencyModel
     std::uint64_t sfenceExtraNs = 0;
 
     /**
-     * Cost of one global cache flush in fast (untracked) mode. The paper
-     * measures wbinvd at ~1.38 ms; benchmarks set this to reproduce the
-     * 2.2% epoch-flush overhead of §6.2.
+     * Cost of one global cache flush in fast (untracked) mode. The
+     * benchmarks and incll_server set it to kPaperWbinvdNs to reproduce
+     * the 2.2% epoch-flush overhead of §6.2.
      */
     std::uint64_t wbinvdNs = 0;
 };

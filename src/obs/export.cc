@@ -1,6 +1,6 @@
 /**
  * @file
- * Exposition formatting and the periodic delta sampler.
+ * Exposition formatting.
  */
 #include "obs/export.h"
 
@@ -60,64 +60,20 @@ constexpr double kQuantiles[] = {50.0, 95.0, 99.0, 99.9};
 constexpr const char *kQuantileLabels[] = {"0.5", "0.95", "0.99", "0.999"};
 constexpr const char *kQuantileJsonKeys[] = {"p50", "p95", "p99", "p999"};
 
-} // namespace
-
+/** Exposition name of a counter: `name` or `name{shard="N"}`. */
 std::string
-counterExpositionName(std::string_view name, int shard)
+counterExpositionName(const CounterValue &cv)
 {
-    std::string out(name);
-    if (shard >= 0) {
+    std::string out(cv.name);
+    if (cv.shard >= 0) {
         out += "{shard=\"";
-        out += std::to_string(shard);
+        out += std::to_string(cv.shard);
         out += "\"}";
     }
     return out;
 }
 
-// --- Sampler -----------------------------------------------------------
-
-Sampler::Sampler(Registry &reg, std::size_t capacity)
-    : reg_(reg), capacity_(capacity ? capacity : 1)
-{
-}
-
-void
-Sampler::sample()
-{
-    const auto now = reg_.counters();
-    std::lock_guard<std::mutex> lk(mu_);
-    Exposition::Sample s;
-    s.tsNs = steadyNowNs();
-    for (std::size_t id = 0; id < now.size(); ++id) {
-        if (id >= names_.size()) {
-            names_.push_back(
-                counterExpositionName(now[id].name, now[id].shard));
-            lastShard_.push_back(now[id].shard);
-            last_.push_back(0);
-        }
-        const std::uint64_t delta = now[id].value - last_[id];
-        last_[id] = now[id].value;
-        if (delta != 0)
-            s.deltas.emplace_back(names_[id], delta);
-    }
-    ring_.push_back(std::move(s));
-    while (ring_.size() > capacity_)
-        ring_.pop_front();
-}
-
-std::vector<Exposition::Sample>
-Sampler::history() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return {ring_.begin(), ring_.end()};
-}
-
-Sampler &
-globalSampler()
-{
-    static Sampler s(registry());
-    return s;
-}
+} // namespace
 
 // --- Collection --------------------------------------------------------
 
@@ -125,14 +81,12 @@ Exposition
 collectGlobal()
 {
     Exposition e;
-    e.counters = registry().counters();
-    e.gauges = registry().gauges();
+    e.counters = globalStats().counters();
     for (unsigned h = 0; h < static_cast<unsigned>(Hist::kNumHists); ++h) {
         const auto hh = static_cast<Hist>(h);
         e.hists.push_back({histName(hh), hist(hh).snapshot()});
     }
     e.slowOps = slowOps().dump();
-    e.samples = globalSampler().history();
     return e;
 }
 
@@ -144,35 +98,15 @@ renderPrometheus(const Exposition &e)
     std::string out;
     out.reserve(4096);
 
-    // Counters, grouped into families so each family gets one TYPE
-    // line with its (possibly shard-labeled) children contiguous.
-    std::vector<std::pair<std::string_view, std::vector<std::size_t>>>
-        families;
+    // Counters arrive grouped by family, so each family gets one TYPE
+    // line with its (possibly shard-labelled) children under it.
     for (std::size_t i = 0; i < e.counters.size(); ++i) {
         const auto &cv = e.counters[i];
-        bool found = false;
-        for (auto &[name, idxs] : families)
-            if (name == cv.name) {
-                idxs.push_back(i);
-                found = true;
-                break;
-            }
-        if (!found)
-            families.push_back({cv.name, {i}});
-    }
-    for (const auto &[name, idxs] : families) {
-        appendf(out, "# TYPE %.*s counter\n",
-                static_cast<int>(name.size()), name.data());
-        for (std::size_t i : idxs) {
-            const auto &cv = e.counters[i];
-            out += counterExpositionName(cv.name, cv.shard);
-            appendf(out, " %" PRIu64 "\n", cv.value);
-        }
-    }
-
-    for (const auto &g : e.gauges) {
-        appendf(out, "# TYPE %s gauge\n%s %.6g\n", g.name.c_str(),
-                g.name.c_str(), g.value);
+        if (i == 0 || cv.name != e.counters[i - 1].name)
+            appendf(out, "# TYPE %.*s counter\n",
+                    static_cast<int>(cv.name.size()), cv.name.data());
+        out += counterExpositionName(cv);
+        appendf(out, " %" PRIu64 "\n", cv.value);
     }
 
     // Histograms as Prometheus summaries: precomputed quantiles plus
@@ -200,14 +134,8 @@ renderJson(const Exposition &e)
     for (std::size_t i = 0; i < e.counters.size(); ++i) {
         const auto &cv = e.counters[i];
         appendf(out, "%s\n    \"%s\": %" PRIu64, i ? "," : "",
-                jsonEscape(counterExpositionName(cv.name, cv.shard))
-                    .c_str(),
-                cv.value);
+                jsonEscape(counterExpositionName(cv)).c_str(), cv.value);
     }
-    out += "\n  },\n  \"gauges\": {";
-    for (std::size_t i = 0; i < e.gauges.size(); ++i)
-        appendf(out, "%s\n    \"%s\": %.6g", i ? "," : "",
-                jsonEscape(e.gauges[i].name).c_str(), e.gauges[i].value);
     out += "\n  },\n  \"histograms\": {";
     for (std::size_t i = 0; i < e.hists.size(); ++i) {
         const auto &h = e.hists[i];
@@ -233,17 +161,6 @@ renderJson(const Exposition &e)
                 i ? "," : "", s.tsNs,
                 jsonEscape(s.op ? s.op : "?").c_str(), s.shard, s.seq,
                 s.totalNs, s.queueNs, s.gateNs, s.storeNs, s.flushNs);
-    }
-    out += "\n  ],\n  \"samples\": [";
-    for (std::size_t i = 0; i < e.samples.size(); ++i) {
-        const auto &s = e.samples[i];
-        appendf(out, "%s\n    {\"ts_ns\": %" PRIu64 ", \"deltas\": {",
-                i ? "," : "", s.tsNs);
-        for (std::size_t d = 0; d < s.deltas.size(); ++d)
-            appendf(out, "%s\"%s\": %" PRIu64, d ? ", " : "",
-                    jsonEscape(s.deltas[d].first).c_str(),
-                    s.deltas[d].second);
-        out += "}}";
     }
     out += "\n  ]\n}\n";
     return out;

@@ -1,25 +1,20 @@
 /**
  * @file
  * Metric exposition: Prometheus-text and JSON rendering of a collected
- * view of the registry, histograms, slow-op ring and sampler, plus the
- * periodic delta sampler itself (driven by EpochService).
+ * view of the counters, histograms and slow-op ring.
  *
  * Rendering is split from collection so tests can build a fully
- * deterministic Exposition (local registry, hand-filled snapshots) and
+ * deterministic Exposition (a local StatSet, hand-filled snapshots) and
  * golden-test the formatter, while the server renders collectGlobal().
  */
 #pragma once
 
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "common/stats.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
-
-#include <cstdint>
-#include <deque>
-#include <mutex>
 
 namespace incll::obs {
 
@@ -31,67 +26,27 @@ struct Exposition
         std::string name;
         HistSnapshot snap;
     };
-    struct Sample
-    {
-        std::uint64_t tsNs;
-        /// (exposition name, delta since previous sample); only
-        /// counters that moved are retained.
-        std::vector<std::pair<std::string, std::uint64_t>> deltas;
-    };
 
-    std::vector<Registry::CounterValue> counters;
-    std::vector<Registry::GaugeValue> gauges;
+    /** Grouped by family: a family's total and children contiguous
+     *  (StatSet::counters() order). */
+    std::vector<CounterValue> counters;
     std::vector<HistEntry> hists;
     std::vector<SlowOpRing::Entry> slowOps;
-    std::vector<Sample> samples; ///< oldest first
 };
 
 /**
- * Periodic counter-delta sampler: each sample() records, per counter,
- * how much it moved since the previous sample, into a bounded ring.
- * EpochService calls sample() on its worker cadence; the JSON
- * exposition dumps the ring so a scraper that missed a window can
- * still see recent rate structure.
- */
-class Sampler
-{
-  public:
-    explicit Sampler(Registry &reg, std::size_t capacity = 32);
-
-    /** Take one delta sample; drops the oldest beyond capacity. */
-    void sample();
-
-    std::vector<Exposition::Sample> history() const;
-
-  private:
-    Registry &reg_;
-    const std::size_t capacity_;
-    mutable std::mutex mu_;
-    std::vector<std::uint64_t> last_;       ///< by counter id
-    std::vector<int> lastShard_;            ///< label of each id
-    std::vector<std::string> names_;        ///< exposition name of each id
-    std::deque<Exposition::Sample> ring_;
-};
-
-/** Process-wide sampler over the global registry. */
-Sampler &globalSampler();
-
-/** Exposition name of a counter: `name` or `name{shard="N"}`. */
-std::string counterExpositionName(std::string_view name, int shard);
-
-/**
- * Collect the global registry, every well-known histogram, the slow-op
- * ring and the sampler history into one render-ready view.
+ * Collect globalStats(), every well-known histogram and the slow-op
+ * ring into one render-ready view.
  */
 Exposition collectGlobal();
 
 /**
- * Prometheus text format: `# TYPE` lines, plain counters/gauges, and
- * histograms as summaries (`name{quantile="0.99"} v` + _sum/_count).
+ * Prometheus text format: `# TYPE` lines, counters, and histograms as
+ * summaries (`name{quantile="0.99"} v` + _sum/_count).
  */
 std::string renderPrometheus(const Exposition &e);
 
-/** JSON object with counters/gauges/histograms/slow_ops/samples. */
+/** JSON object with counters/histograms/slow_ops. */
 std::string renderJson(const Exposition &e);
 
 } // namespace incll::obs

@@ -1,45 +1,20 @@
 /**
  * @file
- * Metrics registry: named counters and gauges behind per-thread
- * cache-line-padded slabs, the well-known latency histogram table, and
- * the slow-op breadcrumb ring.
- *
- * Why per-thread slabs: the original StatSet packed ~30 atomics into
- * one contiguous array, so counters bumped by different threads shared
- * cache lines and every hot-path add() bounced a line across cores.
- * Here each thread gets its own 64-byte-aligned slab of all counters;
- * add() is an uncontended relaxed fetch_add on memory no other thread
- * writes, and readers merge the slabs (plus the fold-in of exited
- * threads) under a mutex on the cold read path.
- *
- * Label support: a counter can be registered per shard id
- * (`name{shard="3"}`), so epoch/migration/server counters can be
- * attributed to a shard instead of the whole process. Labeled children
- * are ordinary counters; callers cache the ids (see StatSet::addShard).
- *
- * Lifetime: a Registry must outlive any thread actively recording into
- * it. Threads that merely *exited* are safe in either order — slab
- * retirement at thread exit goes through a weak_ptr to the registry
- * core, so a thread outliving a (test-local) registry folds into
- * nothing rather than into freed memory.
+ * Latency instrumentation: the well-known histogram table, the
+ * per-thread gate-wait accumulator and the slow-op breadcrumb ring.
+ * Event counters live in common/stats.h (one Stat-indexed store).
  */
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/compiler.h"
 #include "obs/histogram.h"
 
 namespace incll::obs {
-
-using CounterId = std::uint32_t;
 
 /** Monotonic wall-independent clock for latency math, in ns. */
 inline std::uint64_t
@@ -50,84 +25,6 @@ steadyNowNs()
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
 }
-
-class Registry
-{
-  public:
-    /** Fixed counter-id space; registrations beyond this are dropped. */
-    static constexpr CounterId kMaxCounters = 512;
-
-    Registry();
-    ~Registry();
-    Registry(const Registry &) = delete;
-    Registry &operator=(const Registry &) = delete;
-
-    /**
-     * Register-or-look-up a counter by (name, shard). shard = -1 is
-     * the plain unlabeled counter. Returns a dense id usable with
-     * add(); on table exhaustion returns an id >= kMaxCounters which
-     * add() silently drops.
-     */
-    CounterId counter(std::string_view name, int shard = -1);
-
-    /** Hot path: uncontended relaxed add on this thread's slab. */
-    INCLL_INLINE void
-    add(CounterId id, std::uint64_t n = 1)
-    {
-        if (INCLL_UNLIKELY(id >= kMaxCounters))
-            return;
-        slab()[id].fetch_add(n, std::memory_order_relaxed);
-    }
-
-    /** Merge-on-read value of one counter (live slabs + retired). */
-    std::uint64_t value(CounterId id) const;
-
-    struct CounterValue
-    {
-        std::string_view name; ///< backed by the registry; stable
-        int shard;             ///< -1 for unlabeled
-        std::uint64_t value;
-    };
-    /** All counters in registration order, merged. */
-    std::vector<CounterValue> counters() const;
-
-    /** Zero every counter (racy-lossy, same contract as StatSet). */
-    void resetCounters();
-
-    /** Callback gauge, evaluated at collection time. */
-    void registerGauge(std::string name, std::function<double()> fn);
-
-    struct GaugeValue
-    {
-        std::string name;
-        double value;
-    };
-    std::vector<GaugeValue> gauges() const;
-
-    /** Number of registered counters (for exposition sizing). */
-    CounterId numCounters() const;
-
-    /**
-     * Address of the calling thread's counter slab (allocating it if
-     * needed) — lets tests assert slabs are cache-line-disjoint.
-     */
-    const void *debugThreadSlab();
-
-    // Implementation types; public so the thread-exit hook (a
-    // namespace-scope thread_local in metrics.cc) can name them.
-    struct Core;
-    struct Slab;
-
-  private:
-    INCLL_INLINE std::atomic<std::uint64_t> *slab();
-    std::atomic<std::uint64_t> *slabSlow();
-
-    std::shared_ptr<Core> core_;
-    std::uint64_t gen_; ///< == core_->gen; cached for the inline path
-};
-
-/** Process-wide registry (the one globalStats() and exposition use). */
-Registry &registry();
 
 /** Well-known latency histograms; keep in sync with histName(). */
 enum class Hist : unsigned {
@@ -259,33 +156,5 @@ class SlowOpRing
 
 /** Process-wide slow-op ring (the server records into this one). */
 SlowOpRing &slowOps();
-
-// --- Registry inline hot path -----------------------------------------
-
-namespace detail {
-/**
- * Most-recently-used (registry generation, slab) pair for the calling
- * thread. Keyed by a process-unique generation rather than the
- * registry's address so a recycled allocation can never match a stale
- * entry.
- */
-struct TlsCache
-{
-    std::uint64_t gen = 0; ///< 0 never matches a live registry
-    std::atomic<std::uint64_t> *slab = nullptr;
-};
-// constinit: constant-initialised, so access needs no TLS init wrapper
-// (whose null-object call UBSan reports on a thread's first use).
-extern thread_local constinit TlsCache tlsCache;
-} // namespace detail
-
-INCLL_INLINE std::atomic<std::uint64_t> *
-Registry::slab()
-{
-    auto &c = detail::tlsCache;
-    if (INCLL_LIKELY(c.gen == gen_))
-        return c.slab;
-    return slabSlow();
-}
 
 } // namespace incll::obs

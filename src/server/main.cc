@@ -48,7 +48,6 @@ struct Args
     unsigned adaptiveDebtMb = 0;
     bool allowCrash = false;
     unsigned slowOpUs = 0;
-    unsigned statsSampleMs = 0;
     bool recordOpLatency = false;
 };
 
@@ -60,8 +59,7 @@ parseArgs(int argc, char **argv)
         "--keys N --value-bytes N --io-threads N --exec-threads N "
         "--service-threads N --epoch-ms N "
         "--backpressure-mb N --adaptive-debt-mb N "
-        "--allow-crash --slow-op-us N "
-        "--stats-sample-ms N --record-op-latency\n";
+        "--allow-crash --slow-op-us N --record-op-latency\n";
     Args a;
     incll::FlagReader f(argc, argv, kUsage);
     while (f.next()) {
@@ -91,8 +89,6 @@ parseArgs(int argc, char **argv)
             a.allowCrash = true;
         } else if (f.is("--slow-op-us")) {
             a.slowOpUs = f.num<unsigned>();
-        } else if (f.is("--stats-sample-ms")) {
-            a.statsSampleMs = f.num<unsigned>();
         } else if (f.is("--record-op-latency")) {
             a.recordOpLatency = true;
         } else {
@@ -146,6 +142,11 @@ main(int argc, char **argv)
     so.poolBytesPerShard = poolBytes(a.keys, a.shards, so.config);
 
     auto st = std::make_unique<store::ShardedStore>(so);
+    // Every boundary of a direct-mode pool pays the paper's measured
+    // flush; the pools keep it across a kCrash cycle.
+    st->forEachShard([](store::Shard &s) {
+        s.pool().latency().wbinvdNs = nvm::kPaperWbinvdNs;
+    });
     if (a.keys > 0) {
         ycsb::preload(*st, a.keys);
         st->advanceEpoch();
@@ -169,7 +170,6 @@ main(int argc, char **argv)
     eso.interval = std::chrono::milliseconds(a.epochMs);
     eso.maxLogBytesPerEpoch = std::uint64_t{a.backpressureMb} << 20;
     eso.adaptiveDebtBytes = std::uint64_t{a.adaptiveDebtMb} << 20;
-    eso.sampleInterval = std::chrono::milliseconds(a.statsSampleMs);
     // The kCrash cycle replaces the store object: detach the service
     // before the pools are crash-cycled, re-attach to the recovered
     // store after.

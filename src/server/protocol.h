@@ -40,8 +40,8 @@
  *            kRefused unless the server was started with --allow-crash)
  *   kStats   no key, no payload -> kOk + payload: the live metric
  *            exposition (counters, latency histograms with quantiles,
- *            slow-op traces, sampler deltas). Request `flags` bit 0
- *            selects the format: 0 = JSON, 1 = Prometheus text.
+ *            slow-op traces). Request `flags` bit 0 selects the
+ *            format: 0 = JSON, 1 = Prometheus text.
  *
  * Values are fixed-size: the server installs every value into a
  * `valueBytes`-sized durable buffer (the store's uniform value-buffer

@@ -29,6 +29,9 @@ namespace incll::server {
 
 namespace {
 
+/** Per-line eviction probability of the pools a kCrash op crashes. */
+constexpr double kCrashEvictionProbability = 0.3;
+
 void
 setNonBlocking(int fd)
 {
@@ -142,21 +145,17 @@ struct Server::ExecTiming
 };
 
 /**
- * A shard's pending batch. tableVersion snapshots the placement version
- * at first admit; execution compares it against the live store so a
- * batch grouped under a since-retired routing table is demoted to
- * per-op execution (see executeBatch). `inflight` serializes batches of
- * one shard: an executor sets it under mu when it takes the batch and
- * clears it after, so a second executor can never run a later batch
- * while an earlier one is still in flight — per-shard admission order
- * is the protocol's only cross-batch ordering guarantee (a pipelined
- * PUT then same-key GET must not answer from before the PUT).
+ * A shard's pending batch. `inflight` serializes batches of one shard:
+ * an executor sets it under mu when it takes the batch and clears it
+ * after, so a second executor can never run a later batch while an
+ * earlier one is still in flight — per-shard admission order is the
+ * protocol's only cross-batch ordering guarantee (a pipelined PUT then
+ * same-key GET must not answer from before the PUT).
  */
 struct Server::ShardQueue
 {
     std::mutex mu;
     std::vector<PendOp> ops;
-    std::uint64_t tableVersion = 0;
     bool inflight = false; ///< a batch of this shard is executing
 };
 
@@ -760,27 +759,22 @@ Server::admit(PendOp &&op)
 {
     op.admitted = Clock::now();
     unsigned s;
-    std::uint64_t version;
     {
         std::shared_lock storeLk(storeMu_);
         s = store_->shardOf(op.key);
-        version = store_->placementVersion();
     }
     // Queues are sized at construction, but an elastic topology can
     // grow the shard count past that: overflow positions share the
     // last queue. The queue index is only a batching bucket — the
-    // store re-routes every key, and executeBatch demotes any batch
-    // whose placement version moved — so sharing costs batching
-    // efficiency, never correctness.
+    // store re-routes every key, and falls back to per-key calls inside
+    // a migration window — so sharing costs batching efficiency, never
+    // correctness.
     s = std::min(s, static_cast<unsigned>(queues_.size()) - 1);
     bool notify = false;
     {
         ShardQueue &q = *queues_[s];
         std::lock_guard lk(q.mu);
-        if (q.ops.empty()) {
-            q.tableVersion = version;
-            notify = true; // the queue just became runnable
-        }
+        notify = q.ops.empty(); // the queue just became runnable
         q.ops.push_back(std::move(op));
     }
     if (notify) {
@@ -963,7 +957,6 @@ Server::runPendingBatches(BatchOut &out, bool &deferred)
         for (unsigned s = 0; s < queues; ++s) {
             ShardQueue &q = *queues_[s];
             std::vector<PendOp> *ops = nullptr;
-            std::uint64_t version = 0;
             {
                 std::lock_guard lk(q.mu);
                 if (q.inflight || q.ops.empty())
@@ -974,10 +967,9 @@ Server::runPendingBatches(BatchOut &out, bool &deferred)
                     continue;
                 }
                 ops = &out.take(q.ops);
-                version = q.tableVersion;
                 q.inflight = true;
             }
-            executeBatch(s, *ops, version, out);
+            executeBatch(s, *ops, out);
             bool followOn;
             {
                 std::lock_guard lk(q.mu);
@@ -997,29 +989,6 @@ Server::runPendingBatches(BatchOut &out, bool &deferred)
     return ran;
 }
 
-void
-Server::executeBatch(unsigned shardIdx, std::vector<PendOp> &ops,
-                     std::uint64_t tableVersion, BatchOut &out)
-{
-    globalStats().addShard(Stat::kServerBatches, shardIdx);
-    globalStats().addShard(Stat::kServerBatchedOps, shardIdx, ops.size());
-    out.batchStarts.push_back(Clock::now());
-    // The batch was grouped by shard under the placement table current
-    // at admission. If a migration has committed since (version moved)
-    // or is in flight now, that grouping may be stale — keys of this
-    // batch can already belong to another shard, or sit inside a
-    // dual-write window. Demote exactly such batches to per-op routing:
-    // the point-op paths re-route and dual-write correctly no matter
-    // what the table does mid-op.
-    if (store_->placementVersion() != tableVersion ||
-        store_->migrationInProgress()) {
-        globalStats().add(Stat::kServerBatchFallbacks);
-        executeBatchPerOp(ops, static_cast<int>(shardIdx), out);
-    } else {
-        executeRuns(shardIdx, ops, out);
-    }
-}
-
 /**
  * Grouped execution in arrival-ordered *runs*: consecutive reads become
  * one multiGet, consecutive puts one installValueBatch, and a class
@@ -1027,12 +996,18 @@ Server::executeBatch(unsigned shardIdx, std::vector<PendOp> &ops,
  * read pass then a write pass would be one call fewer, but it reorders
  * a same-key read-after-write admitted into one batch — pipelined
  * clients would read their own write's past. Homogeneous bursts (the
- * common workloads) still batch at full width.
+ * common workloads) still batch at full width. The batch was grouped
+ * under the placement current at admission; the store re-routes every
+ * key and falls back to per-key calls inside a migration window, so a
+ * stale grouping costs batching width, never correctness.
  */
 void
-Server::executeRuns(unsigned shardIdx, std::vector<PendOp> &ops,
-                    BatchOut &out)
+Server::executeBatch(unsigned shardIdx, std::vector<PendOp> &ops,
+                     BatchOut &out)
 {
+    globalStats().add(Stat::kServerBatches);
+    globalStats().add(Stat::kServerBatchedOps, ops.size());
+    out.batchStarts.push_back(Clock::now());
     std::vector<std::string_view> getKeys;
     std::vector<PendOp *> getOps;
     std::vector<store::InstallOp> putInstalls;
@@ -1108,48 +1083,6 @@ Server::executeRuns(unsigned shardIdx, std::vector<PendOp> &ops,
     }
     flushGets();
     flushPuts();
-}
-
-void
-Server::executeBatchPerOp(std::vector<PendOp> &ops, int shardIdx,
-                          BatchOut &out)
-{
-    for (PendOp &op : ops) {
-        ExecTiming t;
-        t.shard = shardIdx;
-        t.execStart = Clock::now();
-        const std::uint64_t gate0 = obs::threadGateWaitNs();
-        const std::uint64_t store0 = obs::steadyNowNs();
-        switch (op.op) {
-          case Op::kGet: {
-            void *val = nullptr;
-            store_->get(op.key, val);
-            t.storeNs = obs::steadyNowNs() - store0;
-            t.gateNs = obs::threadGateWaitNs() - gate0;
-            finishGet(op, val, t, out);
-            break;
-          }
-          case Op::kPut: {
-            const bool inserted = store::installValue(
-                *store_, op.key, op.val.data(), op.val.size(),
-                options_.valueBytes);
-            t.storeNs = obs::steadyNowNs() - store0;
-            t.gateNs = obs::threadGateWaitNs() - gate0;
-            finishPut(op, inserted, t, out);
-            break;
-          }
-          default: {
-            void *old = nullptr;
-            const bool hit = store_->remove(op.key, &old);
-            if (old != nullptr)
-                store_->freeValueFor(op.key, old, options_.valueBytes);
-            t.storeNs = obs::steadyNowNs() - store0;
-            t.gateNs = obs::threadGateWaitNs() - gate0;
-            finishRemove(op, hit, t, out);
-            break;
-          }
-        }
-    }
 }
 
 /**
@@ -1340,7 +1273,7 @@ Server::executeCrash(const MiscOp &op)
         auto pools = store_->releasePools();
         store_.reset();
         for (auto &pool : pools)
-            pool->crash(options_.crashEvictionProbability);
+            pool->crash(kCrashEvictionProbability);
         store_ = std::make_unique<store::ShardedStore>(
             std::move(pools), store::kRecover, recoverConfig_);
         if (options_.afterRecover)

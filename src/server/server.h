@@ -30,18 +30,19 @@
  *    themselves (the write-backpressure hook is skipped for a thread
  *    that already holds it).
  *
- * Batches remember the placement version they were grouped under: if a
- * migration commits between admission and flush (or is in flight at
- * flush time), the whole batch is demoted to per-op routing, whose
- * dual-route/dual-write fallbacks are migration-correct by
- * construction. Scans execute per-op on executors (they take gates for
+ * A batch is grouped under the placement current at admission, and a
+ * migration may commit before it runs. It still runs as one batch: the
+ * store re-routes every key of a multiGet, installValueBatch or remove,
+ * and falls back to per-key calls for the shards a migration window
+ * involves, so a stale grouping costs batching width, never
+ * correctness. Scans execute per-op on executors (they take gates for
  * their whole duration and do not batch).
  *
  * Responses are appended to a per-connection output buffer. A pass
  * writes each connection it touched once, after its last store call —
- * one send per connection per pass, however many batches, MULTI
- * responses and demoted per-op batches fed it; IO-thread and misc-op
- * responses are written as they are made. Short writes arm EPOLLOUT on
+ * one send per connection per pass, however many batches and MULTI
+ * responses fed it; IO-thread and misc-op responses are written as
+ * they are made. Short writes arm EPOLLOUT on
  * the connection's IO thread via an eventfd. Writes never raise
  * SIGPIPE: a client that resets with responses outstanding costs its
  * own connection, not the process. Ops hold the connection alive by
@@ -98,8 +99,6 @@ class Server
          * kStats JSON exposition. Zero disables tracing.
          */
         std::chrono::microseconds slowOpThreshold{0};
-        /** Per-line eviction probability for kCrash pool crashes. */
-        double crashEvictionProbability = 0.3;
         /**
          * Run before/after a kCrash cycle, with every executor and
          * admission path quiesced: detach anything holding the store
@@ -183,11 +182,7 @@ class Server
 
     bool runPendingBatches(BatchOut &out, bool &deferred);
     void executeBatch(unsigned shardIdx, std::vector<PendOp> &ops,
-                      std::uint64_t tableVersion, BatchOut &out);
-    void executeRuns(unsigned shardIdx, std::vector<PendOp> &ops,
-                     BatchOut &out);
-    void executeBatchPerOp(std::vector<PendOp> &ops, int shardIdx,
-                           BatchOut &out);
+                      BatchOut &out);
     void writeBatch(BatchOut &out);
     void finishGet(PendOp &op, const void *val, const ExecTiming &t,
                    BatchOut &out);

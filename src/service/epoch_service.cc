@@ -8,8 +8,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/export.h"
-
 namespace incll::service {
 
 EpochService::EpochService(store::ShardedStore &store, Options options)
@@ -119,7 +117,6 @@ EpochService::start()
                                   std::memory_order_relaxed);
         ss->debtKicked.store(false, std::memory_order_relaxed);
     }
-    nextSample_ = firstDeadline - options_.interval + options_.sampleInterval;
     running_.store(true, std::memory_order_release);
     // At most one service thread per shard can ever be busy.
     const unsigned n = std::min<unsigned>(
@@ -152,22 +149,10 @@ EpochService::workerLoop()
     // This thread may not start a *scheduled* advance before `eligible`
     // (the duty-cycle pacing; see kMaxDutyCycle).
     auto eligible = Clock::now();
-    const bool sampling = options_.sampleInterval.count() > 0;
 
     std::unique_lock lk(mu_);
     while (!stopFlag_) {
         const auto now = Clock::now();
-        // Metrics delta sampling: whichever thread notices the deadline
-        // claims it (re-arming under the lock), then samples outside it
-        // — collection walks every registry slab and must not hold up
-        // urgent-advance requests.
-        if (sampling && now >= nextSample_) {
-            nextSample_ = now + options_.sampleInterval;
-            lk.unlock();
-            obs::globalSampler().sample();
-            lk.lock();
-            continue;
-        }
         ShardState *pick = nullptr;
         bool pickUrgent = false;
         auto earliest = Clock::time_point::max();
@@ -205,8 +190,6 @@ EpochService::workerLoop()
             auto wake = earliest == Clock::time_point::max()
                             ? earliest
                             : std::max(earliest, eligible);
-            if (sampling)
-                wake = std::min(wake, nextSample_); // pacing never delays it
             if (wake == Clock::time_point::max())
                 workCv_.wait(lk);
             else

@@ -94,17 +94,6 @@ class EpochService
          * normally lands before the throttle threshold ever trips.
          */
         std::uint64_t adaptiveDebtBytes = 0;
-        /**
-         * Period of the obs delta sampler: every sampleInterval one
-         * service thread snapshots the global counter registry into the
-         * sampler's ring (obs::globalSampler()), so the kStats JSON
-         * exposition carries recent per-interval counter deltas — rates
-         * without a scraper. 0 disables sampling. Sampling rides the
-         * epoch pool rather than its own thread: the pool is already a
-         * deadline scheduler, and a sample is two orders of magnitude
-         * cheaper than a boundary.
-         */
-        std::chrono::milliseconds sampleInterval{0};
     };
 
     /**
@@ -272,7 +261,6 @@ class EpochService
      */
     mutable std::vector<std::atomic<ShardState *>> byPos_;
     std::vector<std::thread> pool_;
-    Clock::time_point nextSample_{}; ///< obs sampler deadline (under mu_)
     bool stopFlag_ = false;
     std::atomic<bool> running_{false};
 };

@@ -36,7 +36,6 @@ struct StoreConfig
     std::uint32_t logBuffers = detail::kDefaultTreeOptions.logBuffers;
     std::size_t logBufferBytes = detail::kDefaultTreeOptions.logBufferBytes;
     std::uint32_t allocArenas = detail::kDefaultTreeOptions.allocArenas;
-    std::size_t allocSlabBytes = detail::kDefaultTreeOptions.allocSlabBytes;
     bool inCllEnabled = detail::kDefaultTreeOptions.inCllEnabled;
 
     // -- store-level placement ----------------------------------------
@@ -75,8 +74,7 @@ struct StoreConfig
     mt::DurableMasstree::Options
     treeOptions() const
     {
-        return {logBuffers, logBufferBytes, allocArenas, allocSlabBytes,
-                inCllEnabled};
+        return {logBuffers, logBufferBytes, allocArenas, inCllEnabled};
     }
 };
 

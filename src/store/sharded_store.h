@@ -86,6 +86,7 @@
 
 #include "common/pin_slots.h"
 #include "common/stats.h"
+#include "obs/metrics.h"
 #include "store/hotness.h"
 #include "store/placement.h"
 #include "store/shard.h"

@@ -1,15 +1,16 @@
 /**
  * @file
  * Observability layer tests (tier1): histogram bucket geometry and
- * percentile accuracy, the per-thread registry (merge, retirement,
- * cache-line disjointness), the StatSet facade, exposition golden
- * renders, and the slow-op ring.
+ * percentile accuracy, the counter store (per-thread slab merge,
+ * retirement, cache-line disjointness, labelled children), exposition
+ * golden renders, and the slow-op ring.
  *
  * The ObsStress.* cases hammer concurrent record/merge/dump paths and
  * are additionally run under ThreadSanitizer (see the tsan_obs CTest
- * entry): the registry's retire-on-thread-exit, the histogram stripes
- * and the slow-op seqlock are all lock-free schemes whose memory
- * ordering claims deserve a checker, not just a code comment.
+ * entry): the counter slabs' retire-on-thread-exit, the labelled-child
+ * map under scrapes, the histogram stripes and the slow-op seqlock all
+ * make memory-ordering claims that deserve a checker, not just a code
+ * comment.
  */
 #include <gtest/gtest.h>
 
@@ -179,67 +180,58 @@ TEST(Histogram, SnapshotMergesStripes)
     EXPECT_EQ(h.snapshot().count, 0u);
 }
 
-// --- Registry ----------------------------------------------------------
+// --- Counter store -----------------------------------------------------
 
-TEST(Registry, MergesAcrossLiveAndExitedThreads)
+constexpr unsigned kNumStatsU = static_cast<unsigned>(Stat::kNumStats);
+
+TEST(Stats, MergesAcrossLiveAndExitedThreads)
 {
-    Registry reg;
-    const CounterId id = reg.counter("ops");
-    reg.add(id, 5); // this (long-lived) thread's slab
+    StatSet local;
+    local.add(Stat::kAllocs, 5); // this (long-lived) thread's slab
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t)
-        threads.emplace_back([&reg, id] { reg.add(id, 100); });
+        threads.emplace_back([&local] { local.add(Stat::kAllocs, 100); });
     for (auto &t : threads)
         t.join();
     // The four threads exited: their slabs were retired and folded.
     // The merged value must see both the retired and the live slab.
-    EXPECT_EQ(reg.value(id), 405u);
-    const auto all = reg.counters();
-    ASSERT_EQ(all.size(), 1u);
-    EXPECT_EQ(all[0].name, "ops");
-    EXPECT_EQ(all[0].shard, -1);
-    EXPECT_EQ(all[0].value, 405u);
+    EXPECT_EQ(local.get(Stat::kAllocs), 405u);
+    const auto all = local.counters();
+    ASSERT_EQ(all.size(), kNumStatsU); // one total per Stat, no children
+    const auto &cv = all[static_cast<unsigned>(Stat::kAllocs)];
+    EXPECT_EQ(cv.name, "allocs");
+    EXPECT_EQ(cv.shard, -1);
+    EXPECT_EQ(cv.value, 405u);
 }
 
-TEST(Registry, SameNameSameId)
+TEST(Stats, ResetZeroesRetiredLiveAndChildren)
 {
-    Registry reg;
-    EXPECT_EQ(reg.counter("a"), reg.counter("a"));
-    EXPECT_NE(reg.counter("a"), reg.counter("b"));
-    EXPECT_NE(reg.counter("a"), reg.counter("a", 3));
-    EXPECT_EQ(reg.counter("a", 3), reg.counter("a", 3));
+    StatSet local;
+    local.add(Stat::kFrees, 7);
+    std::thread([&local] { local.add(Stat::kFrees, 3); }).join();
+    local.addShard(Stat::kEpochAdvances, 5, 2);
+    EXPECT_EQ(local.get(Stat::kFrees), 10u);
+    local.reset();
+    EXPECT_EQ(local.get(Stat::kFrees), 0u);
+    EXPECT_EQ(local.get(Stat::kEpochAdvances), 0u);
+    // A child seen before stays listed, at zero.
+    bool sawChild = false;
+    for (const auto &cv : local.counters())
+        if (cv.shard == 5) {
+            sawChild = true;
+            EXPECT_EQ(cv.name, "epoch_advances");
+            EXPECT_EQ(cv.value, 0u);
+        }
+    EXPECT_TRUE(sawChild);
 }
 
-TEST(Registry, ResetZeroesRetiredAndLive)
-{
-    Registry reg;
-    const CounterId id = reg.counter("x");
-    reg.add(id, 7);
-    std::thread([&reg, id] { reg.add(id, 3); }).join();
-    EXPECT_EQ(reg.value(id), 10u);
-    reg.resetCounters();
-    EXPECT_EQ(reg.value(id), 0u);
-}
-
-TEST(Registry, GaugesEvaluateAtCollection)
-{
-    Registry reg;
-    double v = 1.0;
-    reg.registerGauge("g", [&v] { return v; });
-    v = 2.5;
-    const auto gs = reg.gauges();
-    ASSERT_EQ(gs.size(), 1u);
-    EXPECT_EQ(gs[0].name, "g");
-    EXPECT_EQ(gs[0].value, 2.5);
-}
-
-TEST(Registry, ThreadSlabsAreCacheLineDisjoint)
+TEST(Stats, ThreadSlabsAreCacheLineDisjoint)
 {
     // The false-sharing fix, asserted directly: every thread's slab is
     // 64-byte aligned and slabs of concurrently-live threads never
     // overlap (they are at least a full slab apart), so no counter
     // line is ever written by two threads.
-    Registry reg;
+    StatSet local;
     constexpr int kThreads = 6;
     const void *slabs[kThreads] = {};
     std::atomic<int> ready{0};
@@ -247,7 +239,7 @@ TEST(Registry, ThreadSlabsAreCacheLineDisjoint)
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t)
         threads.emplace_back([&, t] {
-            slabs[t] = reg.debugThreadSlab();
+            slabs[t] = local.debugThreadSlab();
             ready.fetch_add(1);
             while (!go.load())  // hold the slab live until all exist
                 std::this_thread::yield();
@@ -257,8 +249,7 @@ TEST(Registry, ThreadSlabsAreCacheLineDisjoint)
     go.store(true);
     for (auto &t : threads)
         t.join();
-    constexpr std::uintptr_t kSlabBytes =
-        Registry::kMaxCounters * sizeof(std::uint64_t);
+    constexpr std::uintptr_t kSlabBytes = kNumStatsU * sizeof(std::uint64_t);
     for (int i = 0; i < kThreads; ++i) {
         ASSERT_NE(slabs[i], nullptr);
         EXPECT_EQ(reinterpret_cast<std::uintptr_t>(slabs[i]) % 64, 0u);
@@ -270,9 +261,7 @@ TEST(Registry, ThreadSlabsAreCacheLineDisjoint)
     }
 }
 
-// --- StatSet facade ----------------------------------------------------
-
-TEST(StatSetFacade, LocalSetIsIsolatedFromGlobal)
+TEST(Stats, LocalSetIsIsolatedFromGlobal)
 {
     const std::uint64_t before = globalStats().get(Stat::kClwb);
     StatSet local;
@@ -284,7 +273,7 @@ TEST(StatSetFacade, LocalSetIsIsolatedFromGlobal)
     EXPECT_EQ(local.get(Stat::kClwb), 0u);
 }
 
-TEST(StatSetFacade, AddShardFeedsTotalAndLabeledChild)
+TEST(Stats, AddShardFeedsTotalAndLabeledChild)
 {
     StatSet local;
     local.addShard(Stat::kEpochAdvances, 2, 5);
@@ -292,21 +281,21 @@ TEST(StatSetFacade, AddShardFeedsTotalAndLabeledChild)
     local.addShard(Stat::kEpochAdvances, 0, 3);
     // The plain Stat counter carries the total...
     EXPECT_EQ(local.get(Stat::kEpochAdvances), 9u);
-    // ...and the registry grew per-shard children alongside it.
-    bool saw2 = false, saw0 = false;
-    for (const auto &cv : local.registry().counters()) {
-        if (cv.name != "epoch_advances")
-            continue;
-        if (cv.shard == 2) {
-            saw2 = true;
-            EXPECT_EQ(cv.value, 6u);
-        } else if (cv.shard == 0) {
-            saw0 = true;
-            EXPECT_EQ(cv.value, 3u);
-        }
-    }
-    EXPECT_TRUE(saw2);
-    EXPECT_TRUE(saw0);
+    // ...and the per-shard children follow it, in pool-id order.
+    const auto all = local.counters();
+    const auto total =
+        std::find_if(all.begin(), all.end(), [](const CounterValue &cv) {
+            return cv.name == "epoch_advances";
+        });
+    ASSERT_GE(all.end() - total, 3);
+    EXPECT_EQ(total[0].shard, -1);
+    EXPECT_EQ(total[0].value, 9u);
+    EXPECT_EQ(total[1].name, "epoch_advances");
+    EXPECT_EQ(total[1].shard, 0);
+    EXPECT_EQ(total[1].value, 3u);
+    EXPECT_EQ(total[2].name, "epoch_advances");
+    EXPECT_EQ(total[2].shard, 2);
+    EXPECT_EQ(total[2].value, 6u);
 }
 
 /**
@@ -338,7 +327,7 @@ shardSeries(const std::string &body, const std::string &family)
     return out;
 }
 
-TEST(StatSetFacade, ShardChurnKeepsExpositionSeriesUnique)
+TEST(Stats, ShardChurnKeepsExpositionSeriesUnique)
 {
     // The add/retire lifecycle as the exposition sees it: a scrape
     // taken while a member is live lists its child exactly once, and a
@@ -348,14 +337,14 @@ TEST(StatSetFacade, ShardChurnKeepsExpositionSeriesUnique)
     local.addShard(Stat::kEpochAdvances, 0, 3);
     local.addShard(Stat::kEpochAdvances, 1, 7);
     Exposition e;
-    e.counters = local.registry().counters();
+    e.counters = local.counters();
     const auto before = shardSeries(renderPrometheus(e), "epoch_advances");
     EXPECT_EQ(before, (std::map<int, std::uint64_t>{{0, 3}, {1, 7}}));
 
     // Shard 1 retires (no further increments) and shard 2 joins.
     local.addShard(Stat::kEpochAdvances, 0, 1);
     local.addShard(Stat::kEpochAdvances, 2, 5);
-    e.counters = local.registry().counters();
+    e.counters = local.counters();
     const std::string body = renderPrometheus(e);
     const auto after = shardSeries(body, "epoch_advances");
     EXPECT_EQ(after,
@@ -366,7 +355,7 @@ TEST(StatSetFacade, ShardChurnKeepsExpositionSeriesUnique)
               body.rfind("# TYPE epoch_advances counter"));
 }
 
-TEST(StatSetFacade, EveryStatHasAName)
+TEST(Stats, EveryStatHasAName)
 {
     StatSet local;
     for (unsigned i = 0; i < static_cast<unsigned>(Stat::kNumStats); ++i) {
@@ -386,7 +375,6 @@ goldenExposition()
     Exposition e;
     e.counters.push_back({"foo", -1, 7});
     e.counters.push_back({"foo", 2, 3});
-    e.gauges.push_back({"g", 1.5});
     Exposition::HistEntry h;
     h.name = "h_ns";
     h.snap.record(10, 2);
@@ -403,10 +391,6 @@ goldenExposition()
     s.storeNs = 30;
     s.flushNs = 40;
     e.slowOps.push_back(s);
-    Exposition::Sample sample;
-    sample.tsNs = 77;
-    sample.deltas.emplace_back("foo", 2);
-    e.samples.push_back(sample);
     return e;
 }
 
@@ -416,8 +400,6 @@ TEST(Exposition, PrometheusGolden)
     const std::string want = "# TYPE foo counter\n"
                              "foo 7\n"
                              "foo{shard=\"2\"} 3\n"
-                             "# TYPE g gauge\n"
-                             "g 1.5\n"
                              "# TYPE h_ns summary\n"
                              "h_ns{quantile=\"0.5\"} 10.75\n"
                              "h_ns{quantile=\"0.95\"} 103.4\n"
@@ -437,9 +419,6 @@ TEST(Exposition, JsonGolden)
         "    \"foo\": 7,\n"
         "    \"foo{shard=\\\"2\\\"}\": 3\n"
         "  },\n"
-        "  \"gauges\": {\n"
-        "    \"g\": 1.5\n"
-        "  },\n"
         "  \"histograms\": {\n"
         "    \"h_ns\": {\"count\": 3, \"sum\": 120, \"mean\": 40, "
         "\"p50\": 10.75, \"p95\": 103.4, \"p99\": 103.88, "
@@ -449,33 +428,37 @@ TEST(Exposition, JsonGolden)
         "    {\"ts_ns\": 5, \"op\": \"get\", \"shard\": 1, \"seq\": 9, "
         "\"total_ns\": 100, \"queue_ns\": 10, \"gate_ns\": 20, "
         "\"store_ns\": 30, \"flush_ns\": 40}\n"
-        "  ],\n"
-        "  \"samples\": [\n"
-        "    {\"ts_ns\": 77, \"deltas\": {\"foo\": 2}}\n"
         "  ]\n"
         "}\n";
     EXPECT_EQ(got, want);
 }
 
-TEST(Exposition, SamplerRecordsDeltas)
+TEST(Exposition, HundredPoolsKeepEveryLabelledSeries)
 {
-    Registry reg;
-    Sampler sampler(reg, 4);
-    const CounterId id = reg.counter("ticks");
-    sampler.sample(); // baseline: everything zero, no deltas retained
-    reg.add(id, 5);
-    sampler.sample();
-    reg.add(id, 2);
-    sampler.sample();
-    sampler.sample(); // idle window: delta 0, dropped
-    const auto hist = sampler.history();
-    ASSERT_EQ(hist.size(), 4u);
-    EXPECT_TRUE(hist[0].deltas.empty());
-    ASSERT_EQ(hist[1].deltas.size(), 1u);
-    EXPECT_EQ(hist[1].deltas[0].first, "ticks");
-    EXPECT_EQ(hist[1].deltas[0].second, 5u);
-    EXPECT_EQ(hist[2].deltas[0].second, 2u);
-    EXPECT_TRUE(hist[3].deltas.empty());
+    // Pool ids are never reused, so a long-lived elastic store keeps
+    // minting labels. Every (family, pool id) child must reach the
+    // server's scrape with its value: none may be dropped past a cap.
+    // The global store is shared with the rest of this binary (and with
+    // --gtest_repeat), so values are compared as growth.
+    constexpr unsigned kPools = 100;
+    const std::string before = renderPrometheus(collectGlobal());
+    for (unsigned i = 0; i < kNumStatsU; ++i)
+        for (unsigned pool = 0; pool < kPools; ++pool)
+            globalStats().addShard(static_cast<Stat>(i), pool, pool + 1);
+    const std::string after = renderPrometheus(collectGlobal());
+    for (unsigned i = 0; i < kNumStatsU; ++i) {
+        const std::string family = statName(static_cast<Stat>(i));
+        const auto was = shardSeries(before, family);
+        const auto now = shardSeries(after, family);
+        for (unsigned pool = 0; pool < kPools; ++pool) {
+            const int id = static_cast<int>(pool);
+            ASSERT_TRUE(now.contains(id))
+                << family << "{shard=\"" << pool << "\"} missing";
+            const std::uint64_t base = was.contains(id) ? was.at(id) : 0;
+            EXPECT_EQ(now.at(id) - base, pool + 1)
+                << family << "{shard=\"" << pool << "\"}";
+        }
+    }
 }
 
 // --- Slow-op ring ------------------------------------------------------
@@ -512,10 +495,9 @@ TEST(SlowOpRing, WrapsAroundKeepingTheNewest)
 
 // --- Concurrency stress (also run under TSan: tsan_obs) ----------------
 
-TEST(ObsStress, ConcurrentRegistryRecordAndMerge)
+TEST(ObsStress, ConcurrentStatsRecordAndMerge)
 {
-    Registry reg;
-    const CounterId id = reg.counter("stress");
+    StatSet local;
     std::atomic<bool> stop{false};
     std::atomic<std::uint64_t> added{0};
     std::vector<std::thread> writers;
@@ -526,22 +508,22 @@ TEST(ObsStress, ConcurrentRegistryRecordAndMerge)
             for (int burst = 0; burst < 8; ++burst) {
                 std::thread([&] {
                     for (int i = 0; i < 2000; ++i)
-                        reg.add(id);
+                        local.add(Stat::kScans);
                     added.fetch_add(2000);
                 }).join();
             }
         });
     std::thread reader([&] {
         while (!stop.load()) {
-            (void)reg.value(id);
-            (void)reg.counters();
+            (void)local.get(Stat::kScans);
+            (void)local.counters();
         }
     });
     for (auto &w : writers)
         w.join();
     stop.store(true);
     reader.join();
-    EXPECT_EQ(reg.value(id), added.load());
+    EXPECT_EQ(local.get(Stat::kScans), added.load());
 }
 
 TEST(ObsStress, ConcurrentHistogramRecordAndSnapshot)
@@ -619,7 +601,7 @@ TEST(ObsStress, ShardChurnDuringScrapesKeepsSeriesUnique)
     std::map<int, std::uint64_t> prev;
     while (!stop.load(std::memory_order_acquire)) {
         Exposition e;
-        e.counters = local.registry().counters();
+        e.counters = local.counters();
         auto live = shardSeries(renderPrometheus(e), "epoch_advances");
         for (const auto &[shard, value] : live) {
             ASSERT_GE(shard, 0);
@@ -634,7 +616,7 @@ TEST(ObsStress, ShardChurnDuringScrapesKeepsSeriesUnique)
     // at its exact lifetime total — first and last rounds recorded one
     // round's worth, everyone in between two.
     Exposition e;
-    e.counters = local.registry().counters();
+    e.counters = local.counters();
     const auto final_ = shardSeries(renderPrometheus(e), "epoch_advances");
     ASSERT_EQ(final_.size(), kRounds);
     for (unsigned s = 0; s < kRounds; ++s)
